@@ -92,74 +92,6 @@ fn bench_pool_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Hot memo-cache hammering: the workload of the measurement daemon, where many
-/// client connections replay already-measured jobs against one shared session.  Total
-/// work is held constant — `TOTAL_LOOKUPS` memoized `measure` calls, split across the
-/// worker count — so the numeric entries isolate pure cache-path contention: with one
-/// global map lock every thread serialises on the same mutex (and clones its
-/// measurement while holding it); with the sharded cache, threads hammering distinct
-/// keys take distinct locks.
-fn bench_cache_contention(c: &mut Criterion) {
-    // Enough lookups that one iteration spans several scheduler quanta — below that,
-    // threads on a small host rarely preempt each other mid-critical-section and lock
-    // convoys never show up in the measurement.
-    const TOTAL_LOOKUPS: usize = 2048;
-
-    let arch = mp_uarch::power7();
-    let computes = arch.isa.compute_instructions();
-    let config = CmpSmtConfig::new(1, SmtMode::Smt1);
-    // One distinct kernel per hammering thread, so concurrent lookups are for
-    // *different* keys — the daemon's steady state, and the case sharding helps.  The
-    // kernels are deliberately tiny: content-hashing is proportional to kernel length,
-    // and an over-long kernel would bury the cache path this group exists to measure.
-    let benches: Vec<_> = (0..8)
-        .map(|seed| {
-            let mut synth = Synthesizer::new(mp_uarch::power7())
-                .with_name_prefix("bench-contention")
-                .with_seed(seed);
-            synth.add_pass(SkeletonPass::endless_loop(6));
-            synth.add_pass(InstructionMixPass::uniform(computes.clone()));
-            synth.synthesize().expect("contention benchmark synthesizes")
-        })
-        .collect();
-
-    let session = ExperimentSession::new(SimPlatform::power7_fast());
-    for bench in &benches {
-        let _ = session.measure(bench, config);
-    }
-
-    let mut group = c.benchmark_group("runtime/cache_contention");
-    // Iterations here are ~15 ms, so samples hold a single iteration; a generous
-    // sample count keeps the medians robust against sub-second ambient-noise bursts
-    // (which would otherwise swallow a whole entry on a small CI host).
-    //
-    // Every variant — including 1 — goes through the same worker-scope path, and the
-    // baseline is deliberately named `1`, not `serial`: bench_gate only pairs numeric
-    // variants with a `serial` sibling, and this group is a contention *instrument*
-    // (compare across snapshots, e.g. pre/post sharding), not a scheduling invariant.
-    // All variants do identical total work, so on a single-CPU host their ordering is
-    // pure scheduler noise — gating it against a 10% tolerance would be a coin flip.
-    group.sample_size(60);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("hot_hits", threads), &threads, |b, &n| {
-            b.iter(|| {
-                scope_with_workers(n, |sc| {
-                    for t in 0..n {
-                        let session = &session;
-                        let bench = &benches[t % benches.len()];
-                        sc.spawn(move || {
-                            for _ in 0..TOTAL_LOOKUPS / n {
-                                black_box(session.measure(bench, config));
-                            }
-                        });
-                    }
-                })
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_session(c: &mut Criterion) {
     let arch = mp_uarch::power7();
     let computes = arch.isa.compute_instructions();
@@ -183,11 +115,5 @@ fn bench_session(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    runtime_benches,
-    bench_par_map,
-    bench_pool_dispatch,
-    bench_cache_contention,
-    bench_session
-);
+criterion_group!(runtime_benches, bench_par_map, bench_pool_dispatch, bench_session);
 criterion_main!(runtime_benches);

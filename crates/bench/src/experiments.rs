@@ -194,36 +194,14 @@ impl Experiments {
     /// from [`mp_uarch::backend_names`]); the whole pipeline — training, modeling,
     /// taxonomy, stressmark search — then runs against that machine description.
     ///
-    /// When `MP_SERVICE_ADDR` is set (and non-empty), the driver runs in *client
-    /// mode*: the session routes cache misses to the measurement daemon at that
-    /// address instead of simulating locally, and the local store tier stays off
-    /// (persistence lives with the daemon).  Everything else — keys, dedup, stats,
-    /// stdout — is unchanged, so the binaries produce byte-identical output either
-    /// way.  An unreachable or incompatible daemon is a loud panic, never a silent
-    /// fallback to local simulation: a determinism CI job comparing the two modes
-    /// must fail, not accidentally compare in-process against itself.  The local
-    /// platform is still fully constructed in client mode — direct simulator calls
-    /// (e.g. `exp_cross_backend`'s fixture runs) and `idle_power` stay local; only
-    /// session-mediated measurement crosses the wire.  Note the daemon must run at
-    /// the *same scale*: job keys do not cover [`SimOptions`], so a scale mismatch
-    /// would silently serve measurements from the daemon's scale.
+    /// The session reads `MP_THREADS` and `MP_STORE_DIR` from the environment
+    /// ([`ExperimentSession::new`]).
     ///
     /// Returns `None` for an unknown backend name.
     pub fn on_backend(backend: &str, scale: ExperimentScale) -> Option<Self> {
         let uarch = mp_uarch::backend(backend)?;
         let sim = ChipSim::new(uarch).with_options(scale.sim_options());
-        let platform = SimPlatform::new(sim);
-        let session = match std::env::var(mp_service::SERVICE_ADDR_ENV)
-            .ok()
-            .filter(|addr| !addr.is_empty())
-        {
-            Some(addr) => mp_service::RemoteSession::connect(platform, &addr)
-                .unwrap_or_else(|error| {
-                    panic!("{} is set but unusable: {error}", mp_service::SERVICE_ADDR_ENV)
-                })
-                .into_inner(),
-            None => ExperimentSession::new(platform),
-        };
+        let session = ExperimentSession::new(SimPlatform::new(sim));
         Some(Self { session, scale })
     }
 

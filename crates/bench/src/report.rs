@@ -3,10 +3,9 @@
 //! Each binary ends the same way: the scheduling-independent `# Runtime` stats line on
 //! stdout, then the stderr-only observability (persistent-store accounting, gated
 //! telemetry).  The split is load-bearing for CI — stdout must stay byte-identical
-//! across `MP_THREADS` settings, across cold vs warm `MP_STORE_DIR` runs, and across
-//! in-process vs `MP_SERVICE_ADDR` client runs, so everything variable goes to
-//! stderr.  Centralising the footer here keeps the eleven binaries from drifting
-//! apart on that contract.
+//! across `MP_THREADS` settings and across cold vs warm `MP_STORE_DIR` runs, so
+//! everything variable goes to stderr.  Centralising the footer here keeps the
+//! eleven binaries from drifting apart on that contract.
 
 use microprobe::platform::Platform;
 use mp_runtime::ExperimentSession;

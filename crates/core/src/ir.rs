@@ -127,16 +127,6 @@ pub struct MicroBenchmark {
 }
 
 impl MicroBenchmark {
-    /// Wraps an already-validated kernel as a benchmark artifact.
-    ///
-    /// [`BenchmarkIr::finalize`] is the synthesizer's constructor and validates every
-    /// slot; this one is the *deserialisation* entry point (the measurement service
-    /// rebuilds benchmarks from the wire), so the caller is responsible for having
-    /// validated each instruction against the ISA ([`Instruction::new`]) first.
-    pub fn from_kernel(kernel: Kernel) -> Self {
-        Self { kernel }
-    }
-
     /// The executable kernel (endless loop body plus execution attributes).
     pub fn kernel(&self) -> &Kernel {
         &self.kernel

@@ -33,9 +33,8 @@
 pub mod dse;
 pub mod executor;
 pub mod faults;
-pub mod poison;
+mod poison;
 pub mod session;
-pub mod shard;
 pub mod store;
 
 pub use dse::ParallelEvaluator;
@@ -46,8 +45,6 @@ pub use executor::{
 };
 pub use faults::{FaultPlan, FAULTS_ENV};
 pub use session::{
-    BatchRunner, ExperimentPlan, ExperimentSession, JobError, PlannedJob, SessionOptions,
-    SessionStats,
+    ExperimentPlan, ExperimentSession, JobError, PlannedJob, SessionOptions, SessionStats,
 };
-pub use shard::ShardedCache;
 pub use store::{Store, StoreStats, STORE_DIR_ENV};

@@ -15,18 +15,18 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard if a panicking thread poisoned it (see the
 /// module docs for why the guarded data is still consistent).
-pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// [`Condvar::wait`] with the same poison recovery as [`lock`].
-pub fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+pub(crate) fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// [`Condvar::wait_timeout`] with the same poison recovery as [`lock`] (the timeout
 /// flag is dropped: the runtime's timed waits are pure re-check backstops).
-pub fn wait_timeout<'a, T>(
+pub(crate) fn wait_timeout<'a, T>(
     condvar: &Condvar,
     guard: MutexGuard<'a, T>,
     timeout: std::time::Duration,

@@ -8,7 +8,8 @@
 //! of the session.  The figure drivers and the integration-test fixtures therefore stop
 //! re-measuring the same pairs for every figure/model/test case.
 //!
-//! The cache has two tiers: the in-memory memo map, and — when `MP_STORE_DIR` is set
+//! The cache has two tiers: the in-memory memo map (one mutex-guarded map that only
+//! the submitting thread probes and fills), and — when `MP_STORE_DIR` is set
 //! (or a [`Store`] is attached via [`SessionOptions`]/[`with_store`]) — the crash-safe
 //! persistent [`store`](crate::store), so measurements survive restarts and are shared
 //! across CI runs and figure binaries.  Lookup order is memory → disk → simulate.
@@ -30,6 +31,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use microprobe::bootstrap::{Bootstrap, BootstrapOptions, BootstrapRecord};
 use microprobe::ir::MicroBenchmark;
@@ -39,9 +41,8 @@ use mp_power::{SampleKind, WorkloadSample};
 use mp_sim::Measurement;
 use mp_uarch::{CmpSmtConfig, InstrPropsTable};
 
-use crate::shard::ShardedCache;
 use crate::store::{Store, STORE_DIR_ENV};
-use crate::{executor, faults};
+use crate::{executor, faults, poison};
 
 /// A 128-bit content fingerprint of one measurement job.
 ///
@@ -206,7 +207,7 @@ impl SessionStats {
 /// How to construct an [`ExperimentSession`] beyond its platform: worker count and
 /// persistent-store location.  [`from_env`](Self::from_env) (what
 /// [`ExperimentSession::new`] uses) picks both up from `MP_THREADS`-family and
-/// [`STORE_DIR_ENV`] variables; tests and daemons can set fields explicitly via
+/// [`STORE_DIR_ENV`] variables; tests can set fields explicitly via
 /// [`ExperimentSession::with_options`].
 #[derive(Debug, Clone, Default)]
 pub struct SessionOptions {
@@ -246,28 +247,6 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// Where a session's cache-missing jobs actually execute.
-///
-/// By default a session simulates misses on its own platform via the in-process
-/// executor; a session with a runner attached
-/// ([`with_batch_runner`](ExperimentSession::with_batch_runner)) delegates them —
-/// that is how `mp_service`'s `RemoteSession` routes misses over the wire to a shared
-/// daemon while both cache tiers, dedup, stats and result assembly stay *this*
-/// session's, byte-identical to in-process execution.
-///
-/// `jobs` and `keys` are parallel slices (one content key per job, as computed by
-/// [`ExperimentSession::job_key`]); implementations must return exactly one result per
-/// job, in order.  Transport or execution failures are per-job [`JobError`]s — a
-/// runner, like the local path, must never panic the whole batch.
-pub trait BatchRunner: Send + Sync {
-    /// Executes the given jobs and returns one result per job, in job order.
-    fn run_batch(
-        &self,
-        jobs: &[(&MicroBenchmark, CmpSmtConfig)],
-        keys: &[u128],
-    ) -> Vec<Result<Measurement, JobError>>;
-}
-
 /// Renders a caught panic payload (the two shapes `panic!` produces, plus a fallback).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
@@ -289,8 +268,8 @@ pub struct ExperimentSession<P: Platform> {
     platform: P,
     workers: Option<usize>,
     store: Option<Store>,
-    runner: Option<Box<dyn BatchRunner>>,
-    cache: ShardedCache<Measurement>,
+    /// The memory tier, keyed by [`job_key`].  Executor tasks never touch it.
+    cache: Mutex<HashMap<u128, Measurement>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     /// Total measured wall time and count of platform runs, feeding the executor's
@@ -323,8 +302,7 @@ impl<P: Platform> ExperimentSession<P> {
             platform,
             workers: options.workers.map(|w| w.max(1)),
             store,
-            runner: None,
-            cache: ShardedCache::new(),
+            cache: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             job_ns: AtomicU64::new(0),
@@ -341,14 +319,6 @@ impl<P: Platform> ExperimentSession<P> {
     /// Attaches (or replaces) the persistent store tier.
     pub fn with_store(mut self, store: Store) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Delegates cache-missing jobs to a [`BatchRunner`] instead of simulating them on
-    /// this process's executor.  Cache tiers, in-batch dedup, statistics and result
-    /// ordering are unchanged — only tier 3 (execution) is rerouted.
-    pub fn with_batch_runner(mut self, runner: impl BatchRunner + 'static) -> Self {
-        self.runner = Some(Box::new(runner));
         self
     }
 
@@ -448,9 +418,7 @@ impl<P: Platform> ExperimentSession<P> {
         let digest = self.platform.uarch().spec_digest;
         let keys: Vec<u128> = jobs.iter().map(|(b, c)| job_key(b, *c, digest)).collect();
 
-        // Tier 1 — memory.  One sharded-cache probe per key: a hit is served straight
-        // from its shard in a single lock acquisition, so concurrent submitters only
-        // contend when their keys share a shard.  Unique misses collect in
+        // Tier 1 — memory, probed under one lock acquisition.  Unique misses collect in
         // first-appearance order (deterministic).  Disk probes and platform runs both
         // count as session "misses" so the stdout stats line is store-independent.
         let telemetry = mp_telemetry::enabled();
@@ -459,15 +427,16 @@ impl<P: Platform> ExperimentSession<P> {
         let mut settled: Vec<Option<Result<Measurement, JobError>>> = vec![None; jobs.len()];
         let mut to_probe: Vec<(u128, usize)> = Vec::new();
         {
+            let cache = poison::lock(&self.cache);
             let mut queued: HashSet<u128> = HashSet::new();
             for (index, key) in keys.iter().enumerate() {
                 if queued.contains(key) {
                     self.hits.fetch_add(1, Ordering::SeqCst);
                     dedup_hits += 1;
-                } else if let Some(measurement) = self.cache.get(*key) {
+                } else if let Some(measurement) = cache.get(key) {
                     self.hits.fetch_add(1, Ordering::SeqCst);
                     memo_hits += 1;
-                    settled[index] = Some(Ok(measurement));
+                    settled[index] = Some(Ok(measurement.clone()));
                 } else {
                     queued.insert(*key);
                     self.misses.fetch_add(1, Ordering::SeqCst);
@@ -490,7 +459,7 @@ impl<P: Platform> ExperimentSession<P> {
             for (key, index) in to_probe {
                 match store.load(key) {
                     Some(measurement) => {
-                        self.cache.insert(key, measurement.clone());
+                        poison::lock(&self.cache).insert(key, measurement.clone());
                         settled[index] = Some(Ok(measurement));
                     }
                     None => to_measure.push((key, index)),
@@ -500,48 +469,27 @@ impl<P: Platform> ExperimentSession<P> {
             to_measure = to_probe;
         }
 
-        // Tier 3 — execute.  Local sessions simulate on the in-process executor; a
-        // session with a [`BatchRunner`] attached delegates instead (the remote-client
-        // path).  Either way failures stay per-job and are never cached.
+        // Tier 3 — simulate.  Failures stay per-job and are never cached.
         let mut failures: HashMap<u128, JobError> = HashMap::new();
         if !to_measure.is_empty() {
-            let measured = match &self.runner {
-                Some(runner) => {
-                    let subset: Vec<(&MicroBenchmark, CmpSmtConfig)> =
-                        to_measure.iter().map(|&(_, index)| jobs[index]).collect();
-                    let subset_keys: Vec<u128> = to_measure.iter().map(|&(key, _)| key).collect();
-                    let mut results = runner.run_batch(&subset, &subset_keys);
-                    if results.len() != to_measure.len() {
-                        // A miscounting runner fails its whole batch rather than
-                        // misaligning results with jobs.
-                        let message = format!(
-                            "batch runner returned {} results for {} jobs",
-                            results.len(),
-                            to_measure.len()
-                        );
-                        results = subset_keys
-                            .iter()
-                            .map(|&key| Err(JobError { key, message: message.clone() }))
-                            .collect();
-                    }
-                    results
-                }
-                None => self.simulate_batch(jobs, &to_measure),
-            };
-            for (&(key, index), result) in to_measure.iter().zip(&measured) {
-                match result {
-                    Ok(measurement) => {
-                        self.cache.insert(key, measurement.clone());
-                        settled[index] = Some(Ok(measurement.clone()));
-                    }
-                    Err(error) => {
-                        failures.insert(key, error.clone());
-                        settled[index] = Some(Err(error.clone()));
+            let measured = self.simulate_batch(jobs, &to_measure);
+            {
+                let mut cache = poison::lock(&self.cache);
+                for (&(key, index), result) in to_measure.iter().zip(&measured) {
+                    match result {
+                        Ok(measurement) => {
+                            cache.insert(key, measurement.clone());
+                            settled[index] = Some(Ok(measurement.clone()));
+                        }
+                        Err(error) => {
+                            failures.insert(key, error.clone());
+                            settled[index] = Some(Err(error.clone()));
+                        }
                     }
                 }
-            }
-            if telemetry {
-                mp_telemetry::gauge("session.memo_entries", self.cache.len() as f64);
+                if telemetry {
+                    mp_telemetry::gauge("session.memo_entries", cache.len() as f64);
+                }
             }
             // Persist new measurements serially in first-appearance order
             // (deterministic fault occurrences, see above).
@@ -556,12 +504,13 @@ impl<P: Platform> ExperimentSession<P> {
 
         // Only in-batch duplicates are still unsettled: resolve them by key against
         // whatever their first appearance produced.
+        let cache = poison::lock(&self.cache);
         keys.iter()
             .zip(settled)
             .map(|(key, slot)| match slot {
                 Some(result) => result,
-                None => match self.cache.get(*key) {
-                    Some(measurement) => Ok(measurement),
+                None => match cache.get(key) {
+                    Some(measurement) => Ok(measurement.clone()),
                     None => Err(failures
                         .get(key)
                         .expect("every job was measured, cached, or recorded as failed")
@@ -571,7 +520,7 @@ impl<P: Platform> ExperimentSession<P> {
             .collect()
     }
 
-    /// Tier 3's in-process path: simulates the cache-missing jobs on the executor.
+    /// Tier 3: simulates the cache-missing jobs on the executor.
     /// Panics are caught *inside* the parallel closure, so a failing job surfaces as a
     /// per-job `Err` while the executor never observes an unwinding task and the pool
     /// survives intact.
@@ -890,5 +839,74 @@ mod tests {
 
     fn digest_of() -> u128 {
         SimPlatform::power7_fast().uarch().spec_digest
+    }
+
+    /// A platform that counts its simulator runs.
+    struct CountingPlatform {
+        inner: SimPlatform,
+        runs: AtomicUsize,
+    }
+
+    impl Platform for CountingPlatform {
+        fn uarch(&self) -> &mp_uarch::MicroArchitecture {
+            self.inner.uarch()
+        }
+
+        fn run(&self, bench: &MicroBenchmark, config: CmpSmtConfig) -> Measurement {
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            self.inner.run(bench, config)
+        }
+
+        fn run_heterogeneous(
+            &self,
+            benches: &[MicroBenchmark],
+            config: CmpSmtConfig,
+        ) -> Measurement {
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            self.inner.run_heterogeneous(benches, config)
+        }
+
+        fn idle_power(&self) -> f64 {
+            self.inner.idle_power()
+        }
+    }
+
+    #[test]
+    fn concurrent_submitters_share_one_memo() {
+        let _guard = crate::faults::tests::serial();
+        let ambient = faults::plan();
+        faults::set_plan(None);
+
+        let benches: Vec<MicroBenchmark> =
+            (0..4).map(|i| tiny_benchmark(&format!("c{i}"), 200 + i)).collect();
+        let configs = [CmpSmtConfig::new(1, SmtMode::Smt1), CmpSmtConfig::new(2, SmtMode::Smt2)];
+        let jobs: Vec<(&MicroBenchmark, CmpSmtConfig)> =
+            benches.iter().flat_map(|b| configs.iter().map(move |&c| (b, c))).collect();
+        let serial =
+            ExperimentSession::with_options(SimPlatform::power7_fast(), SessionOptions::default());
+        let expected = serial.measure_batch(&jobs);
+
+        let platform =
+            CountingPlatform { inner: SimPlatform::power7_fast(), runs: AtomicUsize::new(0) };
+        let session = ExperimentSession::with_options(&platform, SessionOptions::default());
+        std::thread::scope(|scope| {
+            let submitters: Vec<_> =
+                (0..4).map(|_| scope.spawn(|| session.measure_batch(&jobs))).collect();
+            for submitter in submitters {
+                assert_eq!(submitter.join().expect("submitter completes"), expected);
+            }
+        });
+        // No cross-call in-flight dedup: concurrent misses may each simulate, so only
+        // the accounting is exact.
+        let stats = session.stats();
+        assert_eq!(stats.submitted, 4 * jobs.len());
+        assert_eq!(stats.hits + stats.misses, stats.submitted);
+
+        // Everything is memoized now: a fifth replay is all hits and runs nothing.
+        let runs = platform.runs.load(Ordering::SeqCst);
+        assert_eq!(session.measure_batch(&jobs), expected);
+        assert_eq!(session.stats().hits, stats.hits + jobs.len());
+        assert_eq!(platform.runs.load(Ordering::SeqCst), runs);
+        faults::set_plan(ambient);
     }
 }

@@ -514,21 +514,6 @@ fn decode_payload(bytes: &[u8]) -> Option<Measurement> {
     ))
 }
 
-/// Encodes a [`Measurement`] as the store's little-endian record payload.
-///
-/// Public for `mp_service`: the measurement-daemon wire protocol reuses the store's
-/// payload encoding verbatim, so a measurement crosses the network in exactly the
-/// bytes it persists as — one codec, one set of corruption checks.
-pub fn encode_measurement(measurement: &Measurement) -> Vec<u8> {
-    encode_payload(measurement)
-}
-
-/// Decodes an [`encode_measurement`] payload; `None` on truncation or corruption
-/// (never a panic, same contract as record loading).
-pub fn decode_measurement(bytes: &[u8]) -> Option<Measurement> {
-    decode_payload(bytes)
-}
-
 /// Serialises one record: header (magic, key, digest, payload length, checksum) then
 /// payload.
 fn encode_record(key: u128, digest: u128, measurement: &Measurement) -> Vec<u8> {
