@@ -11,7 +11,7 @@
 //! If a change *intends* to alter simulator results, regenerate the table by running
 //! the test and copying the printed `actual` values — and say so in the PR.
 
-use mp_sim::fixtures::{reference_kernels, uncore_contention_pair};
+use mp_sim::fixtures::{reference_kernels, uncore_contention_pair, wide_registers};
 use mp_sim::{ChipSim, Kernel, Measurement, SimOptions, UncoreMode};
 use mp_uarch::{power7, CmpSmtConfig, CounterId, SmtMode};
 
@@ -129,6 +129,13 @@ fn golden_runs() -> Vec<(String, u64)> {
         vec![kernels[0].clone(), kernels[1].clone(), kernels[2].clone(), kernels[0].clone()];
     let m = sim.run_heterogeneous(&mix, config);
     out.push(("heterogeneous/1-4".to_owned(), fingerprint_with(&m, &LEGACY_COUNTERS)));
+    // More than 64 dense registers: the dependency masks span two words.
+    let wide = wide_registers(&sim.uarch().isa);
+    for config in configs {
+        let m = sim.run(&wide, config);
+        let label = format!("{}/{}", wide.name(), config.label());
+        out.push((label, fingerprint_with(&m, &LEGACY_COUNTERS)));
+    }
     out
 }
 
@@ -149,10 +156,12 @@ fn golden_shared_runs() -> Vec<(String, u64)> {
     out.push(("shared/contender/1-1".to_owned(), fingerprint_with(&m, &CounterId::ALL)));
     let m = sim.run_heterogeneous(&[contender_a, contender_b], CmpSmtConfig::new(2, SmtMode::Smt1));
     out.push(("shared/contention_pair/2-1".to_owned(), fingerprint_with(&m, &CounterId::ALL)));
+    let m = sim.run(&wide_registers(isa), CmpSmtConfig::new(1, SmtMode::Smt4));
+    out.push(("shared/fix_wide/1-4".to_owned(), fingerprint_with(&m, &CounterId::ALL)));
     out
 }
 
-const GOLDEN: [(&str, u64); 10] = [
+const GOLDEN: [(&str, u64); 13] = [
     ("fix_compute/1-1", 0xc49715601ab61677),
     ("fix_compute/1-4", 0x7e3bd8a2c7dbfad9),
     ("fix_compute/2-2", 0x7a68d4aa210102ae),
@@ -163,16 +172,22 @@ const GOLDEN: [(&str, u64); 10] = [
     ("fix_branchy/1-4", 0xd457df3fdc4be690),
     ("fix_branchy/2-2", 0x0afb1539944ccc3a),
     ("heterogeneous/1-4", 0x6dcca0887ba54bba),
+    ("fix_wide/1-1", 0xc1b5fd858215f591),
+    ("fix_wide/1-4", 0xe4b364b18b7d396a),
+    ("fix_wide/2-2", 0x24ac2fae16d7886e),
 ];
 
 /// Shared-uncore golden hashes, recorded when the subsystem was introduced (full
-/// counter set, same pinned options as the private table).
-const GOLDEN_SHARED: [(&str, u64); 5] = [
+/// counter set, same pinned options as the private table).  The `fix_wide` rows of
+/// both tables were recorded later, on the simulator that rescanned the issue window
+/// for pending writers, before the scan became a running mask.
+const GOLDEN_SHARED: [(&str, u64); 6] = [
     ("shared/fix_compute/1-4", 0x25a565137b457c01),
     ("shared/fix_memory/1-4", 0x962529a68ef91426),
     ("shared/fix_branchy/1-4", 0xfde6a1763782cb10),
     ("shared/contender/1-1", 0xc99dcdb40670f264),
     ("shared/contention_pair/2-1", 0x2f6dc90ba7f12f47),
+    ("shared/fix_wide/1-4", 0x17372e600244820e),
 ];
 
 fn assert_matches_golden(actual: &[(String, u64)], expected: &[(&str, u64)], table: &str) {
