@@ -9,7 +9,7 @@ use mp_uarch::{CmpSmtConfig, MicroArchitecture};
 
 use crate::core::CoreSim;
 use crate::decoded::DecodedBody;
-use crate::energy::{EnergyBreakdown, EnergyParams};
+use crate::energy::{EnergyBreakdown, EnergyParams, EnergyTables};
 use crate::kernel::Kernel;
 use crate::measurement::{Measurement, PowerTrace};
 use crate::uncore::{UncoreMode, UncoreSim};
@@ -149,7 +149,7 @@ impl ChipSim {
     pub fn run(&self, kernel: &Kernel, config: CmpSmtConfig) -> Measurement {
         let body = {
             let _span = mp_telemetry::span("sim.decode");
-            DecodedBody::decode(kernel, &self.uarch, &self.props)
+            DecodedBody::decode(kernel, &self.uarch, &self.props, &self.params)
         };
         self.run_bodies(vec![body; config.threads() as usize], config)
     }
@@ -175,7 +175,7 @@ impl ChipSim {
                 if let Some(&i) = bucket.iter().find(|&&i| seen[i].0 == kernel) {
                     return seen[i].1.clone();
                 }
-                let body = DecodedBody::decode(kernel, &self.uarch, &self.props);
+                let body = DecodedBody::decode(kernel, &self.uarch, &self.props, &self.params);
                 bucket.push(seen.len());
                 seen.push((kernel, body.clone()));
                 body
@@ -215,12 +215,13 @@ impl ChipSim {
             .collect();
 
         let mut uncore = UncoreSim::new(&self.uarch, self.options.uncore_mode);
+        let tables = EnergyTables::new(&self.params);
         let mut breakdown = EnergyBreakdown::default();
         // Warm-up: caches fill, pipes reach steady state; energy is discarded.
         let warmup_span = mp_telemetry::span("sim.warmup");
         for now in 0..self.options.warmup_cycles {
             for core in &mut cores {
-                core.step(now, &self.params, &mut breakdown, &mut uncore);
+                core.step(now, &tables, &mut breakdown, &mut uncore);
             }
         }
         drop(warmup_span);
@@ -242,7 +243,7 @@ impl ChipSim {
         let end = start + self.options.measure_cycles;
         for now in start..end {
             for core in &mut cores {
-                core.step(now, &self.params, &mut breakdown, &mut uncore);
+                core.step(now, &tables, &mut breakdown, &mut uncore);
             }
             self.accrue_static(&mut breakdown, config);
 
@@ -264,7 +265,6 @@ impl ChipSim {
                 }
             }
         }
-        let cycle_loop_ns = cycle_span.elapsed_ns();
         drop(cycle_span);
 
         let finalize_span = mp_telemetry::span("sim.finalize");
@@ -287,13 +287,9 @@ impl ChipSim {
             mp_telemetry::counter("sim.measurements", 1);
             mp_telemetry::counter("sim.cycles", cycles);
             mp_telemetry::counter("sim.warmup_cycles", self.options.warmup_cycles);
-            if cycle_loop_ns > 0 {
-                // Simulated megacycles per wall-clock second of the measurement loop.
-                mp_telemetry::gauge(
-                    "sim.mcycles_per_sec",
-                    cycles as f64 * 1e3 / cycle_loop_ns as f64,
-                );
-            }
+            // Hardware-thread cycles of the measurement window: divided by the
+            // `sim.cycle_loop` span total, the simulator's throughput.
+            mp_telemetry::counter("sim.thread_cycles", cycles * u64::from(config.threads()));
         }
         measurement
     }

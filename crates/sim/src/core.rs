@@ -1,20 +1,20 @@
 //! One SMT core: thread contexts, issue logic, execution pipes.
 //!
 //! The issue loop runs entirely over the pre-decoded kernel representation
-//! ([`DecodedBody`]): per issue it does flat-array loads, one bitmask dependency scan
-//! and one scoreboard update — no allocation, no hashing, no re-encoding.
-
-use std::collections::VecDeque;
+//! ([`DecodedBody`]) and the run's [`EnergyTables`]: per window slot it does flat-array
+//! loads and two bitmask tests against the scoreboard and a running mask of pending
+//! writes, and per issue one scoreboard update — no allocation, no hashing, no
+//! re-encoding, no searches.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use mp_isa::{IssueClass, Unit};
+use mp_isa::IssueClass;
 use mp_uarch::{CounterValues, MemLevel, MicroArchitecture};
 
 use crate::cache_sim::CoreCaches;
-use crate::decoded::{for_each_reg, masks_intersect, regs_ready, DecodedBody};
-use crate::energy::{EnergyBreakdown, EnergyParams};
+use crate::decoded::{for_each_reg, mask_union, masks_intersect, regs_ready, DecodedBody};
+use crate::energy::{EnergyBreakdown, EnergyTables};
 use crate::uncore::{UncoreMode, UncoreSim};
 
 /// Number of in-flight instructions a thread can look ahead over when issuing — a small
@@ -24,7 +24,7 @@ const ISSUE_WINDOW: usize = 12;
 const MISPREDICT_PENALTY: u64 = 15;
 
 /// One entry of a thread's issue window: a dynamic instance of a body instruction.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct WindowEntry {
     body_idx: usize,
     issued: bool,
@@ -42,10 +42,15 @@ struct Pipe {
 struct ThreadContext {
     /// The thread's kernel, compiled to the dense hot-loop representation.
     body: DecodedBody,
-    window: VecDeque<WindowEntry>,
+    /// The issue window, oldest first; `window[..window_len]` is live.
+    window: [WindowEntry; ISSUE_WINDOW],
+    window_len: usize,
     next_fetch: usize,
     /// Ready time of every register, indexed by the kernel's dense register id.
     reg_ready: Vec<u64>,
+    /// Scratch for one issue scan: the union of the write masks of the window entries
+    /// scanned so far that are still unissued (`mask_words` words).
+    pending_writes: Vec<u64>,
     stall_until: u64,
     counters: CounterValues,
     rng: SmallRng,
@@ -54,11 +59,14 @@ struct ThreadContext {
 impl ThreadContext {
     fn new(body: DecodedBody, seed: u64) -> Self {
         let reg_ready = vec![0; body.dense_regs()];
+        let pending_writes = vec![0; body.mask_words()];
         Self {
             body,
-            window: VecDeque::with_capacity(ISSUE_WINDOW),
+            window: [WindowEntry::default(); ISSUE_WINDOW],
+            window_len: 0,
             next_fetch: 0,
             reg_ready,
+            pending_writes,
             stall_until: 0,
             counters: CounterValues::default(),
             rng: SmallRng::seed_from_u64(seed),
@@ -66,54 +74,50 @@ impl ThreadContext {
     }
 
     fn refill_window(&mut self) {
-        while self.window.len() < ISSUE_WINDOW {
-            self.window.push_back(WindowEntry { body_idx: self.next_fetch, issued: false });
-            self.next_fetch = (self.next_fetch + 1) % self.body.len();
+        while self.window_len < ISSUE_WINDOW {
+            self.window[self.window_len] = WindowEntry { body_idx: self.next_fetch, issued: false };
+            self.window_len += 1;
+            self.next_fetch += 1;
+            if self.next_fetch == self.body.len() {
+                self.next_fetch = 0;
+            }
         }
     }
 
     fn retire_issued_head(&mut self) {
-        while matches!(self.window.front(), Some(e) if e.issued) {
-            self.window.pop_front();
-        }
+        let live = &self.window[..self.window_len];
+        let retired = live.iter().position(|e| !e.issued).unwrap_or(live.len());
+        self.window.copy_within(retired..self.window_len, 0);
+        self.window_len -= retired;
     }
 }
 
-/// The per-unit execution pipes of one core.
+/// Unit slots, in [`UNIT_SLOTS`](crate::energy::UNIT_SLOTS) order.
+const FXU: usize = 0;
+const LSU: usize = 1;
+const VSU: usize = 2;
+const DFU: usize = 3;
+const BRU: usize = 4;
+
+/// The execution pipes of one core, by unit slot.
 #[derive(Debug)]
-struct Pipes {
-    fxu: Vec<Pipe>,
-    lsu: Vec<Pipe>,
-    vsu: Vec<Pipe>,
-    dfu: Vec<Pipe>,
-    bru: Vec<Pipe>,
-}
+struct Pipes([Vec<Pipe>; 5]);
 
 impl Pipes {
-    /// Picks an execution pipe of `issue`'s class that frees up during cycle `now`.
-    fn select(&self, issue: IssueClass, now: u64) -> Option<(Unit, usize)> {
+    /// Picks an execution pipe of `issue`'s class that frees up during cycle `now`,
+    /// as a (unit slot, pipe index) pair.
+    fn select(&self, issue: IssueClass, now: u64) -> Option<(usize, usize)> {
         let deadline = (now + 1) as f64 - 1e-9;
-        let free = |pipes: &[Pipe]| pipes.iter().position(|p| p.busy_until <= deadline);
+        let free = |slot: usize| {
+            self.0[slot].iter().position(|p| p.busy_until <= deadline).map(|i| (slot, i))
+        };
         match issue {
-            IssueClass::Fxu => free(&self.fxu).map(|i| (Unit::Fxu, i)),
-            IssueClass::Lsu => free(&self.lsu).map(|i| (Unit::Lsu, i)),
-            IssueClass::Vsu => free(&self.vsu).map(|i| (Unit::Vsu, i)),
-            IssueClass::Dfu => free(&self.dfu).map(|i| (Unit::Dfu, i)),
-            IssueClass::Bru => free(&self.bru).map(|i| (Unit::Bru, i)),
-            IssueClass::FxuOrLsu => free(&self.fxu)
-                .map(|i| (Unit::Fxu, i))
-                .or_else(|| free(&self.lsu).map(|i| (Unit::Lsu, i))),
-        }
-    }
-
-    fn get_mut(&mut self, unit: Unit, idx: usize) -> &mut Pipe {
-        match unit {
-            Unit::Fxu => &mut self.fxu[idx],
-            Unit::Lsu => &mut self.lsu[idx],
-            Unit::Vsu => &mut self.vsu[idx],
-            Unit::Dfu => &mut self.dfu[idx],
-            Unit::Bru => &mut self.bru[idx],
-            Unit::Ifu | Unit::Isu => unreachable!("IFU/ISU are not execution pipes"),
+            IssueClass::Fxu => free(FXU),
+            IssueClass::Lsu => free(LSU),
+            IssueClass::Vsu => free(VSU),
+            IssueClass::Dfu => free(DFU),
+            IssueClass::Bru => free(BRU),
+            IssueClass::FxuOrLsu => free(FXU).or_else(|| free(LSU)),
         }
     }
 }
@@ -126,23 +130,10 @@ pub(crate) struct CoreSim {
     pipes: Pipes,
     dispatch_width: u32,
     prefetch_counted: u64,
-    /// Units that issued at least one instruction in the current cycle
-    /// (FXU, LSU, VSU, DFU, BRU) — drives the per-active-cycle wake energy.
+    /// Units that issued at least one instruction in the current cycle, by unit slot
+    /// — drives the per-active-cycle wake energy.
     cycle_units: [bool; 5],
 }
-
-fn unit_slot(unit: Unit) -> Option<usize> {
-    match unit {
-        Unit::Fxu => Some(0),
-        Unit::Lsu => Some(1),
-        Unit::Vsu => Some(2),
-        Unit::Dfu => Some(3),
-        Unit::Bru => Some(4),
-        Unit::Ifu | Unit::Isu => None,
-    }
-}
-
-const UNIT_SLOTS: [Unit; 5] = [Unit::Fxu, Unit::Lsu, Unit::Vsu, Unit::Dfu, Unit::Bru];
 
 impl CoreSim {
     /// Creates a core running one pre-decoded kernel body per hardware thread.  The
@@ -161,7 +152,8 @@ impl CoreSim {
             .enumerate()
             .map(|(i, b)| ThreadContext::new(b, seed.wrapping_add(i as u64 * 7919)))
             .collect();
-        let pipes = |n: u32| vec![Pipe::default(); n as usize];
+        let counts =
+            [uarch.pipes.fxu, uarch.pipes.lsu, uarch.pipes.vsu, uarch.pipes.dfu, uarch.pipes.bru];
         let caches = match uncore_mode {
             // Shared mode: the private L3 slice would never be touched, skip it.
             UncoreMode::Private => CoreCaches::new(&uarch.hierarchy, prefetch_enabled),
@@ -170,13 +162,7 @@ impl CoreSim {
         Self {
             threads,
             caches,
-            pipes: Pipes {
-                fxu: pipes(uarch.pipes.fxu),
-                lsu: pipes(uarch.pipes.lsu),
-                vsu: pipes(uarch.pipes.vsu),
-                dfu: pipes(uarch.pipes.dfu),
-                bru: pipes(uarch.pipes.bru),
-            },
+            pipes: Pipes(counts.map(|n| vec![Pipe::default(); n as usize])),
             dispatch_width: uarch.pipes.dispatch_width,
             prefetch_counted: 0,
             cycle_units: [false; 5],
@@ -210,7 +196,7 @@ impl CoreSim {
     pub(crate) fn step(
         &mut self,
         now: u64,
-        params: &EnergyParams,
+        tables: &EnergyTables<'_>,
         energy: &mut EnergyBreakdown,
         uncore: &mut UncoreSim,
     ) {
@@ -219,22 +205,25 @@ impl CoreSim {
             return;
         }
         let mut dispatch_left = self.dispatch_width;
-        let start = (now as usize) % nthreads;
+        let mut tid = (now as usize) % nthreads;
         self.cycle_units = [false; 5];
 
-        for i in 0..nthreads {
+        for _ in 0..nthreads {
             if dispatch_left == 0 {
                 break;
             }
-            let tid = (start + i) % nthreads;
-            dispatch_left = self.step_thread(tid, now, params, energy, uncore, dispatch_left);
+            dispatch_left = self.step_thread(tid, now, tables, energy, uncore, dispatch_left);
+            tid += 1;
+            if tid == nthreads {
+                tid = 0;
+            }
         }
 
         // Clock-gating: every unit that woke up this cycle pays a fixed wake-up energy,
         // independent of how many operations it executed.
-        for (slot, unit) in UNIT_SLOTS.iter().enumerate() {
-            if self.cycle_units[slot] {
-                energy.dynamic_compute += params.wake_energy(*unit);
+        for (woke, wake) in self.cycle_units.iter().zip(tables.wake) {
+            if *woke {
+                energy.dynamic_compute += wake;
             }
         }
     }
@@ -244,46 +233,53 @@ impl CoreSim {
         &mut self,
         tid: usize,
         now: u64,
-        params: &EnergyParams,
+        tables: &EnergyTables<'_>,
         energy: &mut EnergyBreakdown,
         uncore: &mut UncoreSim,
         mut dispatch_left: u32,
     ) -> u32 {
         let Self { threads, caches, pipes, cycle_units, .. } = self;
+        let params = tables.params;
         let thread = &mut threads[tid];
         if thread.stall_until > now {
             return dispatch_left;
         }
         thread.refill_window();
-        let ThreadContext { body, window, reg_ready, stall_until, counters, rng, .. } =
-            &mut *thread;
-        let window = window.make_contiguous();
+        let ThreadContext {
+            body,
+            window,
+            window_len,
+            reg_ready,
+            pending_writes,
+            stall_until,
+            counters,
+            rng,
+            ..
+        } = &mut *thread;
+        pending_writes.fill(0);
 
-        for w in 0..window.len() {
+        for entry in &mut window[..*window_len] {
             if dispatch_left == 0 {
                 break;
             }
-            let entry = window[w];
             if entry.issued {
                 continue;
             }
             let idx = entry.body_idx;
 
-            // Register dependencies: every source must have been produced (its writer
-            // already issued) and its value must be available by this cycle.
-            let ready = {
-                let reads = body.reads_mask(idx);
-                regs_ready(reads, reg_ready, now)
-                    && !window[..w]
-                        .iter()
-                        .any(|e| !e.issued && masks_intersect(body.writes_mask(e.body_idx), reads))
-            };
-            if !ready {
+            // Register dependencies: every source must have been produced (no older
+            // entry still waiting to issue writes it) and its value must be available
+            // by this cycle.  An entry that stays unissued adds its writes to the
+            // pending mask for the younger entries behind it.
+            let reads = body.reads_mask(idx);
+            if masks_intersect(pending_writes, reads) || !regs_ready(reads, reg_ready, now) {
+                mask_union(pending_writes, body.writes_mask(idx));
                 continue;
             }
 
             // Execution pipe of the right class must be free.
-            let Some((unit, pipe_idx)) = pipes.select(body.issue_class(idx), now) else {
+            let Some((slot, pipe_idx)) = pipes.select(body.issue_class(idx), now) else {
+                mask_union(pending_writes, body.writes_mask(idx));
                 continue;
             };
 
@@ -302,10 +298,8 @@ impl CoreSim {
 
             // ---- issue ----
             dispatch_left -= 1;
-            window[w].issued = true;
-            if let Some(slot) = unit_slot(unit) {
-                cycle_units[slot] = true;
-            }
+            entry.issued = true;
+            cycle_units[slot] = true;
 
             let flags = body.flags(idx);
             let mut total_latency = body.latency(idx);
@@ -332,12 +326,12 @@ impl CoreSim {
                             caches.access_shared(mem.address, now, uncore, params);
                         uncore_energy += event_energy;
                         if matches!(outcome.level, MemLevel::L1 | MemLevel::L2) {
-                            mem_energy += params.access_energy(outcome.level);
+                            mem_energy += tables.access(outcome.level);
                         }
                         outcome
                     } else {
                         let outcome = caches.access(mem.address);
-                        mem_energy += params.access_energy(outcome.level);
+                        mem_energy += tables.access(outcome.level);
                         outcome
                     };
                     total_latency += u64::from(outcome.latency);
@@ -374,20 +368,17 @@ impl CoreSim {
             // order-dependent switching energy against the previous instruction executed
             // on the same physical pipe.
             let enc = body.encoding(idx);
-            let pipe = pipes.get_mut(unit, pipe_idx);
+            let pipe = &mut pipes.0[slot][pipe_idx];
             let switch_bits = (enc ^ pipe.last_encoding).count_ones();
             // Accumulate the fractional occupancy so that non-integer reciprocal
             // throughputs (e.g. 1.14 cycles) are honoured in the long-run average.
             pipe.busy_until = pipe.busy_until.max(now as f64) + body.recip_throughput(idx);
             pipe.last_encoding = enc;
 
-            energy.dynamic_compute += params.instruction_energy(
-                unit,
-                body.complexity(idx),
-                body.width(idx),
-                switch_bits,
-                body.switching_factor(),
-            );
+            // `EnergyParams::instruction_energy`, from the tables (same sum order).
+            energy.dynamic_compute += tables.unit_base[slot]
+                + body.datapath(idx)
+                + tables.switching[switch_bits as usize];
             energy.dynamic_memory += mem_energy;
             energy.uncore += uncore_energy;
 
@@ -402,14 +393,14 @@ impl CoreSim {
                     }
                 }
             } else {
-                match unit {
-                    Unit::Fxu => counters.fxu_ops += 1,
-                    Unit::Lsu => counters.lsu_ops += 1,
-                    Unit::Vsu => counters.vsu_ops += 1,
-                    Unit::Dfu => counters.dfu_ops += 1,
-                    Unit::Bru => counters.bru_ops += 1,
-                    Unit::Ifu | Unit::Isu => {}
-                }
+                let ops = match slot {
+                    FXU => &mut counters.fxu_ops,
+                    LSU => &mut counters.lsu_ops,
+                    VSU => &mut counters.vsu_ops,
+                    DFU => &mut counters.dfu_ops,
+                    _ => &mut counters.bru_ops,
+                };
+                *ops += 1;
             }
             counters.instr_completed += 1;
 
@@ -432,6 +423,7 @@ impl CoreSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::EnergyParams;
     use mp_isa::{Instruction, Isa, Operand, RegRef};
     use mp_uarch::power7;
 
@@ -452,7 +444,7 @@ mod tests {
 
     fn decode_all(uarch: &MicroArchitecture, kernels: &[Kernel]) -> Vec<DecodedBody> {
         let props = uarch.opcode_props();
-        kernels.iter().map(|k| DecodedBody::decode(k, uarch, &props)).collect()
+        kernels.iter().map(|k| DecodedBody::decode(k, uarch, &props, &uarch.energy)).collect()
     }
 
     fn run_core(
@@ -465,14 +457,15 @@ mod tests {
         let mut uncore = UncoreSim::new(uarch, UncoreMode::Private);
         let mut energy = EnergyBreakdown::default();
         let params = EnergyParams::power7();
+        let tables = EnergyTables::new(&params);
         // Warm up then measure.
         for now in 0..1000u64 {
-            core.step(now, &params, &mut energy, &mut uncore);
+            core.step(now, &tables, &mut energy, &mut uncore);
         }
         core.reset_counters();
         let mut energy = EnergyBreakdown::default();
         for now in 1000..1000 + cycles {
-            core.step(now, &params, &mut energy, &mut uncore);
+            core.step(now, &tables, &mut energy, &mut uncore);
         }
         (core.counters(cycles), energy)
     }
@@ -549,6 +542,7 @@ mod tests {
             (0..64).map(|i| rrr(isa, "subf", (i % 8) as u16, 10, 11)).collect();
         let kernel = Kernel::new("subf", body);
         let params = EnergyParams::power7();
+        let tables = EnergyTables::new(&params);
 
         let ipc_for = |n: usize| {
             let mut core = CoreSim::new(
@@ -561,11 +555,11 @@ mod tests {
             let mut uncore = UncoreSim::new(&uarch, UncoreMode::Private);
             let mut e = EnergyBreakdown::default();
             for now in 0..3000u64 {
-                core.step(now, &params, &mut e, &mut uncore);
+                core.step(now, &tables, &mut e, &mut uncore);
             }
             core.reset_counters();
             for now in 3000..6000u64 {
-                core.step(now, &params, &mut e, &mut uncore);
+                core.step(now, &tables, &mut e, &mut uncore);
             }
             let total: u64 = core.counters(3000).iter().map(|c| c.instr_completed).sum();
             total as f64 / 3000.0

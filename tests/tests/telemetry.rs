@@ -177,6 +177,11 @@ fn enabling_telemetry_does_not_change_simulator_results() {
     mp_telemetry::set_enabled(true);
     let on = sim_runs();
     assert!(off == on, "telemetry changed simulator measurements");
+
+    // The simulator's work is an exact count, not a last-value rate gauge.
+    let agg = mp_telemetry::snapshot();
+    let thread_cycles: u64 = on.iter().map(|m| m.cycles() * u64::from(m.config().threads())).sum();
+    assert_eq!(counter_total(&agg, "sim.thread_cycles"), thread_cycles);
 }
 
 #[test]
