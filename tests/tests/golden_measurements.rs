@@ -136,6 +136,27 @@ fn golden_runs() -> Vec<(String, u64)> {
         let label = format!("{}/{}", wide.name(), config.label());
         out.push((label, fingerprint_with(&m, &LEGACY_COUNTERS)));
     }
+    // Wider chips: runs of 4 and 8 identical cores, RNG-free (compute, memory, wide)
+    // and mispredicting (branchy), pin every core of a multi-core private run.
+    let replica_runs = [
+        (&kernels[0], CmpSmtConfig::new(4, SmtMode::Smt4)),
+        (&kernels[0], CmpSmtConfig::new(8, SmtMode::Smt1)),
+        (&kernels[1], CmpSmtConfig::new(4, SmtMode::Smt4)),
+        (&kernels[1], CmpSmtConfig::new(8, SmtMode::Smt1)),
+        (&wide, CmpSmtConfig::new(4, SmtMode::Smt4)),
+        (&wide, CmpSmtConfig::new(8, SmtMode::Smt1)),
+        (&kernels[2], CmpSmtConfig::new(4, SmtMode::Smt4)),
+    ];
+    for (kernel, config) in replica_runs {
+        let m = sim.run(kernel, config);
+        let label = format!("{}/{}", kernel.name(), config.label());
+        out.push((label, fingerprint_with(&m, &LEGACY_COUNTERS)));
+    }
+    // Two cores running the same RNG-free mix of distinct kernels on their threads.
+    let core_mix = [&kernels[0], &kernels[1], &kernels[0], &wide];
+    let mix: Vec<Kernel> = core_mix.iter().chain(&core_mix).map(|k| (*k).clone()).collect();
+    let m = sim.run_heterogeneous(&mix, CmpSmtConfig::new(2, SmtMode::Smt4));
+    out.push(("heterogeneous_rngfree/2-4".to_owned(), fingerprint_with(&m, &LEGACY_COUNTERS)));
     out
 }
 
@@ -158,10 +179,13 @@ fn golden_shared_runs() -> Vec<(String, u64)> {
     out.push(("shared/contention_pair/2-1".to_owned(), fingerprint_with(&m, &CounterId::ALL)));
     let m = sim.run(&wide_registers(isa), CmpSmtConfig::new(1, SmtMode::Smt4));
     out.push(("shared/fix_wide/1-4".to_owned(), fingerprint_with(&m, &CounterId::ALL)));
+    // Identical cores contending for one shared L3 and memory port.
+    let m = sim.run(&kernels[1], CmpSmtConfig::new(2, SmtMode::Smt2));
+    out.push(("shared/fix_memory/2-2".to_owned(), fingerprint_with(&m, &CounterId::ALL)));
     out
 }
 
-const GOLDEN: [(&str, u64); 13] = [
+const GOLDEN: [(&str, u64); 21] = [
     ("fix_compute/1-1", 0xc49715601ab61677),
     ("fix_compute/1-4", 0x7e3bd8a2c7dbfad9),
     ("fix_compute/2-2", 0x7a68d4aa210102ae),
@@ -175,19 +199,31 @@ const GOLDEN: [(&str, u64); 13] = [
     ("fix_wide/1-1", 0xc1b5fd858215f591),
     ("fix_wide/1-4", 0xe4b364b18b7d396a),
     ("fix_wide/2-2", 0x24ac2fae16d7886e),
+    ("fix_compute/4-4", 0x40012e05e0401d90),
+    ("fix_compute/8-1", 0x330308e5aa183339),
+    ("fix_memory/4-4", 0xd001471c90f0d2f4),
+    ("fix_memory/8-1", 0x850e0345d9aa8d68),
+    ("fix_wide/4-4", 0x4fc5622181787dcb),
+    ("fix_wide/8-1", 0x8ec4c21583cfc3d6),
+    ("fix_branchy/4-4", 0x6193b6ff5b32dab8),
+    ("heterogeneous_rngfree/2-4", 0xc7b3fbc1c4a5ef82),
 ];
 
 /// Shared-uncore golden hashes, recorded when the subsystem was introduced (full
 /// counter set, same pinned options as the private table).  The `fix_wide` rows of
 /// both tables were recorded later, on the simulator that rescanned the issue window
-/// for pending writers, before the scan became a running mask.
-const GOLDEN_SHARED: [(&str, u64); 6] = [
+/// for pending writers, before the scan became a running mask.  The 4- and 8-core
+/// rows, `heterogeneous_rngfree/2-4` and `shared/fix_memory/2-2` were recorded on the
+/// simulator that stepped every core of a run, before identical RNG-free private
+/// cores were simulated once and replayed.
+const GOLDEN_SHARED: [(&str, u64); 7] = [
     ("shared/fix_compute/1-4", 0x25a565137b457c01),
     ("shared/fix_memory/1-4", 0x962529a68ef91426),
     ("shared/fix_branchy/1-4", 0xfde6a1763782cb10),
     ("shared/contender/1-1", 0xc99dcdb40670f264),
     ("shared/contention_pair/2-1", 0x2f6dc90ba7f12f47),
     ("shared/fix_wide/1-4", 0x17372e600244820e),
+    ("shared/fix_memory/2-2", 0x72ea025b90d47109),
 ];
 
 fn assert_matches_golden(actual: &[(String, u64)], expected: &[(&str, u64)], table: &str) {
