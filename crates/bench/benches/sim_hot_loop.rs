@@ -6,7 +6,10 @@
 //! the golden-measurement test uses) on one core, at SMT1/2/4 on POWER7 with private
 //! caches, and at SMT8 on the spec-only POWER8 backend with the shared uncore (the
 //! configuration of the max-power search, where full memory-port queues hold issue
-//! back).  The reported throughput is simulated chip cycles per wall-clock second.
+//! back).  One more row runs the compute kernel on 4 POWER7 cores at SMT4: identical
+//! RNG-free private cores, so it times simulating one core and replaying its energy
+//! log for the other three.  The reported throughput is simulated chip cycles per
+//! wall-clock second.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -63,6 +66,13 @@ fn bench_hot_loop(c: &mut Criterion) {
             }
         }
     }
+    let sim = hot_loop_sim(power7(), UncoreMode::Private);
+    let kernel = compute_bound(&sim.uarch().isa);
+    group.bench_with_input(
+        BenchmarkId::new("4core/compute", "4thread"),
+        &CmpSmtConfig::new(4, SmtMode::Smt4),
+        |b, config| b.iter(|| sim.run(&kernel, *config)),
+    );
     group.finish();
 }
 

@@ -21,7 +21,7 @@ use crate::energy::EnergyParams;
 use crate::kernel::Kernel;
 
 /// Pre-resolved per-instruction attributes packed into one byte.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct DecodedFlags(u8);
 
 impl DecodedFlags {
@@ -47,7 +47,7 @@ impl DecodedFlags {
 ///
 /// All vectors (except the mask arenas) have one element per body instruction; the
 /// mask arenas hold `mask_words` words per instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DecodedBody {
     len: usize,
     /// Number of distinct registers referenced by the body (dense index space).
@@ -209,6 +209,12 @@ impl DecodedBody {
     pub(crate) fn mispredict_rate(&self) -> f64 {
         self.mispredict_rate
     }
+
+    /// Whether a thread running this body ever draws from its RNG: only the issue of
+    /// a conditional branch with a positive misprediction rate does.
+    pub(crate) fn draws_rng(&self) -> bool {
+        self.mispredict_rate > 0.0 && self.flags.iter().any(|f| f.is_branch() && f.is_conditional())
+    }
 }
 
 /// Returns `true` if two register masks share a set bit.
@@ -315,6 +321,19 @@ mod tests {
             for_each_reg(d.writes_mask(i), |id| from_mask.push(id));
             assert_eq!(from_mask, write_ids, "writes of instruction {i}");
         }
+    }
+
+    #[test]
+    fn only_mispredicting_conditional_branches_draw_rng() {
+        let uarch = power7();
+        let isa = &uarch.isa;
+        let props = uarch.opcode_props();
+        let decode = |k: &Kernel| DecodedBody::decode(k, &uarch, &props, &uarch.energy);
+        assert!(decode(&branchy(isa)).draws_rng());
+        assert!(!decode(&branchy(isa).with_mispredict_rate(0.0)).draws_rng());
+        // A misprediction rate without conditional branches never reaches the RNG.
+        assert!(!decode(&compute_bound(isa).with_mispredict_rate(0.5)).draws_rng());
+        assert!(!decode(&memory_bound(isa)).draws_rng());
     }
 
     #[test]

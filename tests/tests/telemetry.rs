@@ -14,7 +14,7 @@ use microprobe::platform::SimPlatform;
 use microprobe::prelude::*;
 use mp_power::SampleKind;
 use mp_runtime::{ExperimentPlan, ExperimentSession};
-use mp_sim::fixtures::reference_kernels;
+use mp_sim::fixtures::{branchy, compute_bound, reference_kernels};
 use mp_sim::{ChipSim, Measurement, SimOptions};
 use mp_telemetry::registry::Aggregate;
 use mp_uarch::{CmpSmtConfig, SmtMode};
@@ -182,6 +182,29 @@ fn enabling_telemetry_does_not_change_simulator_results() {
     let agg = mp_telemetry::snapshot();
     let thread_cycles: u64 = on.iter().map(|m| m.cycles() * u64::from(m.config().threads())).sum();
     assert_eq!(counter_total(&agg, "sim.thread_cycles"), thread_cycles);
+}
+
+#[test]
+fn replicated_thread_cycles_count_the_cores_replayed_instead_of_simulated() {
+    let _lock = serial();
+    let _restore = TelemetryOff;
+    mp_telemetry::set_enabled(true);
+    let sim = fast_sim();
+    let isa = &sim.uarch().isa;
+    let config = CmpSmtConfig::new(4, SmtMode::Smt2);
+
+    sim.run(&compute_bound(isa), config);
+    let agg = mp_telemetry::snapshot();
+    // (300 warm-up + 900 measured cycles) × 2 threads × 3 replayed cores.
+    assert_eq!(counter_total(&agg, "sim.replicated_thread_cycles"), 7_200);
+    assert_eq!(counter_total(&agg, "sim.thread_cycles"), 900 * 8);
+
+    // Mispredicting cores draw distinct branch streams: every core is simulated.
+    mp_telemetry::reset();
+    sim.run(&branchy(isa), config);
+    let agg = mp_telemetry::snapshot();
+    assert_eq!(counter_total(&agg, "sim.replicated_thread_cycles"), 0);
+    assert_eq!(counter_total(&agg, "sim.thread_cycles"), 900 * 8);
 }
 
 #[test]
