@@ -33,8 +33,8 @@ fn bench_par_eval(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("exhaustive", workers), &workers, |b, &w| {
             b.iter(|| {
                 // ~1 µs per candidate (measured): 256 candidates ≈ 256 µs of total
-                // work, under the inline threshold — the cost-aware scheduler keeps
-                // the whole batch on the caller, so parallelism cannot lose.
+                // work, under the inline threshold — the executor keeps the whole
+                // batch on the caller, so parallelism cannot lose.
                 let mut par = ParallelEvaluator::new(score)
                     .with_workers(w)
                     .with_cost_hint(CostHint::per_item_ns(1_000));

@@ -1,23 +1,21 @@
-//! Benches for the `mp_runtime` subsystem: cost-aware `par_map` against its serial
-//! baseline at every worker count (the CI perf gate's primary targets), the warm
-//! persistent-pool dispatch cost, and the memoized replay path of a session.
+//! Benches for the `mp_runtime` subsystem: the hinted parallel map against its serial
+//! baseline at every worker count (the CI perf gate's primary targets), and the
+//! memoized replay path of a session.
 //!
 //! Every `<group>/serial` entry is the plain `iter().map().collect()` loop; the
-//! numeric entries run the same workload through the cost-aware executor at that
-//! worker count.  `bench_gate` asserts the numeric medians never exceed serial beyond
-//! tolerance — the "parallelism never loses" invariant.
+//! numeric entries run the same workload through the executor at that worker count.
+//! `bench_gate` asserts the numeric medians never exceed serial beyond tolerance — the
+//! "parallelism never loses" invariant.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use microprobe::platform::SimPlatform;
 use microprobe::prelude::*;
 use mp_power::SampleKind;
-use mp_runtime::{
-    par_map_with_workers_and_cost, scope_with_workers, CostHint, ExperimentPlan, ExperimentSession,
-};
+use mp_runtime::{par_map_with_workers_and_cost, CostHint, ExperimentPlan, ExperimentSession};
 use mp_uarch::{CmpSmtConfig, SmtMode};
 
-/// ~55 ns of integer mixing per item (64 rounds): small enough that parallel dispatch
-/// can only lose — the scheduler must take the inline fallback.
+/// ~55 ns of integer mixing per item (64 rounds): small enough that spawning threads
+/// can only lose — the executor must run the batch inline.
 fn mix64(x: &u64) -> u64 {
     let mut v = *x;
     for _ in 0..64 {
@@ -27,7 +25,7 @@ fn mix64(x: &u64) -> u64 {
 }
 
 /// ~2 µs of integer mixing per item (2048 rounds): a batch of these clears the
-/// inline threshold, so this exercises the real chunked pool dispatch.
+/// inline threshold, so this exercises the real scoped-thread dispatch.
 fn mix2k(x: &u64) -> u64 {
     let mut v = *x;
     for _ in 0..2048 {
@@ -41,8 +39,8 @@ fn bench_par_map(c: &mut Criterion) {
     group.sample_size(10);
 
     // Tiny jobs: 512 × ~55 ns ≈ 28 µs of total work.  The honest per-item hint makes
-    // the scheduler run these inline at every worker count (pool dispatch alone would
-    // cost more than the whole batch).
+    // the executor run these inline at every worker count (spawning threads alone
+    // would cost more than the whole batch).
     let items: Vec<u64> = (0..512).collect();
     group.bench_function(BenchmarkId::new("mix64", "serial"), |b| {
         b.iter(|| black_box(items.iter().map(mix64).collect::<Vec<u64>>()))
@@ -54,8 +52,8 @@ fn bench_par_map(c: &mut Criterion) {
     }
 
     // Heavy jobs: 1024 × ~2 µs ≈ 2 ms of total work.  This clears the inline
-    // threshold, so the numeric entries measure genuine chunked dispatch on the
-    // persistent pool (~125 µs of work per chunk).
+    // threshold, so the numeric entries measure genuine parallel dispatch: scoped
+    // threads claiming one item at a time.
     let heavy_items: Vec<u64> = (0..1024).collect();
     group.bench_function(BenchmarkId::new("mix2k", "serial"), |b| {
         b.iter(|| black_box(heavy_items.iter().map(mix2k).collect::<Vec<u64>>()))
@@ -64,28 +62,6 @@ fn bench_par_map(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("mix2k", workers), &workers, |b, &w| {
             b.iter(|| {
                 par_map_with_workers_and_cost(w, CostHint::per_item_ns(2_000), &heavy_items, mix2k)
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The warm pool-dispatch round trip: lease workers from the persistent pool, run one
-/// empty job each, shut the scope down.  This is the fixed cost the inline threshold
-/// is calibrated against (per-call `thread::spawn` used to put it at ~100 µs/worker).
-fn bench_pool_dispatch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("runtime/pool");
-    group.sample_size(10);
-    // Warm the pool so the bench measures reuse, not the one-time spawns.
-    scope_with_workers(8, |sc| sc.spawn(|| {}));
-    for workers in [2usize, 8] {
-        group.bench_with_input(BenchmarkId::new("dispatch", workers), &workers, |b, &w| {
-            b.iter(|| {
-                scope_with_workers(w, |sc| {
-                    for _ in 0..w {
-                        sc.spawn(|| {});
-                    }
-                })
             })
         });
     }
@@ -115,5 +91,5 @@ fn bench_session(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(runtime_benches, bench_par_map, bench_pool_dispatch, bench_session);
+criterion_group!(runtime_benches, bench_par_map, bench_session);
 criterion_main!(runtime_benches);

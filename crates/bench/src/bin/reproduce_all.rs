@@ -9,7 +9,7 @@ fn main() {
     let scale = ExperimentScale::from_arg(arg.as_deref());
     let experiments = Experiments::new(scale);
     println!("{}", experiments.run_all());
-    // Variable observability (steal counts, wall times, Chrome trace, persistent-store
+    // Variable observability (executor job counts, wall times, Chrome trace, persistent-store
     // hit/write/quarantine accounting) goes to stderr and the MP_TELEMETRY_* files;
     // stdout above stays byte-identical across MP_THREADS settings and across cold vs
     // warm MP_STORE_DIR runs.

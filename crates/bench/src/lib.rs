@@ -3,7 +3,7 @@
 //! The [`runner`] module turns benchmark populations into measured
 //! [`WorkloadSample`](mp_power::WorkloadSample)s by translating them into
 //! `mp_runtime` [`ExperimentPlan`](mp_runtime::ExperimentPlan)s (measured in parallel
-//! on the work-stealing executor, memoized per session), and the [`experiments`]
+//! on the `mp_runtime` executor, memoized per session), and the [`experiments`]
 //! module implements one function per table/figure of the paper's evaluation.  The
 //! binaries in `src/bin` and the `experiments` bench target print the regenerated
 //! rows/series; see `EXPERIMENTS.md` at the repository root for the recorded outputs

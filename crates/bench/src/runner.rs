@@ -2,7 +2,7 @@
 //!
 //! This is a thin wrapper over [`mp_runtime`]: populations are translated into a
 //! declarative [`ExperimentPlan`] and executed by a (possibly caller-shared, memoizing)
-//! [`ExperimentSession`] on the work-stealing executor.  Results come back in plan
+//! [`ExperimentSession`] on the parallel executor.  Results come back in plan
 //! order — benchmark-major, then configuration — identical to a serial run regardless
 //! of the worker count.
 
@@ -46,7 +46,7 @@ pub fn measurement_plan(
 /// Runs every `(benchmark, configuration)` pair and returns the measured workload
 /// samples together with their labels.
 ///
-/// Work is spread over `parallelism` workers of the `mp_runtime` work-stealing executor
+/// Work is spread over `parallelism` workers of the `mp_runtime` executor
 /// (the simulated platform is pure computation, so this scales with host cores).
 /// Callers that measure repeatedly should hold their own [`ExperimentSession`] instead
 /// and submit plans to it, so repeated pairs are memoized.

@@ -2,7 +2,7 @@
 //!
 //! The core search drivers ([`ExhaustiveSearch`](microprobe::dse::ExhaustiveSearch),
 //! [`GeneticSearch`](microprobe::dse::GeneticSearch)) hand candidates to their evaluator
-//! in batches.  A [`ParallelEvaluator`] scores such a batch on the work-stealing
+//! in batches.  A [`ParallelEvaluator`] scores such a batch on the
 //! [`executor`](crate::executor): scores land by candidate index, so a search run with
 //! any worker count — including the `MP_THREADS` override — returns a
 //! [`SearchResult`](microprobe::dse::SearchResult) byte-identical to the serial closure
@@ -17,7 +17,7 @@ use crate::executor::CostHint;
 /// parallel.
 ///
 /// The scoring function must be `Fn` (not `FnMut`): candidates of a batch are scored
-/// concurrently in whatever order the stealing resolves, so per-call mutable state would
+/// concurrently in whatever order the workers claim them, so per-call mutable state would
 /// make scores scheduling-dependent.  Report a failed candidate with a non-finite score
 /// (conventionally `f64::NEG_INFINITY`); the drivers count those in
 /// [`SearchResult::failures`](microprobe::dse::SearchResult::failures).
@@ -43,10 +43,9 @@ impl<F> ParallelEvaluator<F> {
         self
     }
 
-    /// Declares the estimated per-candidate scoring cost, enabling the executor's
-    /// inline-serial fallback (batches too small to pay for pool dispatch) and chunked
-    /// dispatch (tiny candidates grouped so each task amortizes queue traffic).
-    /// Scheduling-only: search results are byte-identical for any hint.
+    /// Declares the estimated per-candidate scoring cost, so batches too cheap to pay
+    /// for spawning threads are scored inline on the caller.  Scheduling-only: search
+    /// results are byte-identical for any hint.
     pub fn with_cost_hint(mut self, cost: CostHint) -> Self {
         self.cost = cost;
         self
@@ -107,12 +106,8 @@ mod tests {
     fn cost_hints_never_change_search_results() {
         let points: Vec<Vec<u32>> = (0..48u32).map(|i| vec![i, i * 5 % 11, i * 2 % 7]).collect();
         let serial = ExhaustiveSearch::new().run(points.clone(), &mut score);
-        let hints = [
-            CostHint::Unknown,
-            CostHint::Inline,
-            CostHint::per_item_ns(1),
-            CostHint::per_item_ns(10_000_000),
-        ];
+        let hints =
+            [CostHint::Unknown, CostHint::per_item_ns(1), CostHint::per_item_ns(10_000_000)];
         for hint in hints {
             for workers in [1usize, 3, 8] {
                 let mut par =

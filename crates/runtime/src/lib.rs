@@ -2,15 +2,14 @@
 //!
 //! The paper's methodology is embarrassingly parallel: hundreds of independent
 //! `(micro-benchmark × CMP-SMT configuration)` runs feed the bottom-up/top-down power
-//! models.  This crate supplies the two layers every measurement path in the workspace
+//! models.  This crate supplies the layers every measurement path in the workspace
 //! runs through:
 //!
-//! 1. [`executor`] — a std-only, cost-aware work-stealing thread pool (one persistent
-//!    per-process pool of lazily-spawned workers, per-worker deques plus stealing)
-//!    exposing [`scope`]/[`par_map`] with deterministic result ordering, worker-count
-//!    control via the `MP_THREADS` environment variable, panic propagation, and a
-//!    [`CostHint`]-driven inline-serial fallback plus adaptive chunking so parallel
-//!    dispatch never loses to the serial loop;
+//! 1. [`executor`] — a std-only parallel map over a slice on scoped threads (the caller
+//!    plus `workers − 1` spawned threads claiming items from one atomic index), with
+//!    results in input order, worker-count control via the `MP_THREADS` environment
+//!    variable, first-panic propagation, and a [`CostHint`] that keeps batches too
+//!    cheap to pay for the threads on the caller;
 //! 2. [`session`] — a memoizing [`ExperimentSession`] that takes a declarative
 //!    [`ExperimentPlan`] of measurement jobs, content-hashes each job, dedupes repeats
 //!    and memoizes [`Measurement`](mp_sim::Measurement)s across plan submissions, so
@@ -30,6 +29,8 @@
 //! `mp_bench::measure_benchmarks`, the experiment binaries, and the slow integration
 //! tests are all thin wrappers over these layers.
 
+#![forbid(unsafe_code)]
+
 pub mod dse;
 pub mod executor;
 pub mod faults;
@@ -39,9 +40,7 @@ pub mod store;
 
 pub use dse::ParallelEvaluator;
 pub use executor::{
-    default_workers, par_map, par_map_with_cost, par_map_with_workers,
-    par_map_with_workers_and_cost, scope, scope_with_workers, worker_index, CostHint, Scope,
-    CHUNK_TARGET_ENV, PAR_THRESHOLD_ENV, THREADS_ENV,
+    default_workers, par_map_with_workers, par_map_with_workers_and_cost, CostHint, THREADS_ENV,
 };
 pub use faults::{FaultPlan, FAULTS_ENV};
 pub use session::{

@@ -18,19 +18,19 @@
 //! all store-specific accounting goes to stderr/telemetry instead
 //! ([`report_store`](ExperimentSession::report_store)).
 //!
-//! Unique jobs are measured on the work-stealing [`executor`](crate::executor); results
+//! Unique jobs are measured in parallel on the [`executor`](crate::executor); results
 //! are handed back in plan order, so output is deterministic regardless of the worker
 //! count (the simulator itself is deterministic per job).  A panicking job — real, or
 //! injected via [`faults`](crate::faults) — fails only its own batch entry:
 //! [`measure_batch_resilient`](ExperimentSession::measure_batch_resilient) returns
-//! per-job `Result`s while the worker pool and both cache tiers keep serving.
+//! per-job `Result`s while both cache tiers keep serving.
 //!
 //! [`with_store`]: ExperimentSession::with_store
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use microprobe::bootstrap::{Bootstrap, BootstrapOptions, BootstrapRecord};
@@ -272,17 +272,7 @@ pub struct ExperimentSession<P: Platform> {
     cache: Mutex<HashMap<u128, Measurement>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    /// Total measured wall time and count of platform runs, feeding the executor's
-    /// [`CostHint`](executor::CostHint): the session *measures* what its jobs cost and
-    /// schedules the next batch accordingly (inline when a batch is too small to pay
-    /// for pool dispatch, chunked when jobs are tiny).
-    job_ns: AtomicU64,
-    job_runs: AtomicU64,
 }
-
-/// What one measurement job is assumed to cost before the session has measured any:
-/// simulations are milliseconds-scale, so the first batch of a session parallelizes.
-const DEFAULT_JOB_COST_NS: u64 = 1_000_000;
 
 impl<P: Platform> ExperimentSession<P> {
     /// Creates a session over a platform configured from the environment: the default
@@ -305,8 +295,6 @@ impl<P: Platform> ExperimentSession<P> {
             cache: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
-            job_ns: AtomicU64::new(0),
-            job_runs: AtomicU64::new(0),
         }
     }
 
@@ -358,24 +346,6 @@ impl<P: Platform> ExperimentSession<P> {
         job_key(benchmark, config, self.platform.uarch().spec_digest)
     }
 
-    /// The measured average wall time of one platform run, in nanoseconds
-    /// ([`DEFAULT_JOB_COST_NS`] until the session has measured anything).
-    ///
-    /// This is the session's *measured* per-job cost estimate; it only ever influences
-    /// scheduling (inline-vs-parallel, chunk sizing), never results.
-    pub fn avg_job_ns(&self) -> u64 {
-        let runs = self.job_runs.load(Ordering::Relaxed);
-        match self.job_ns.load(Ordering::Relaxed).checked_div(runs) {
-            None => DEFAULT_JOB_COST_NS,
-            Some(avg) => avg.max(1),
-        }
-    }
-
-    /// The cost hint the next batch is scheduled with.
-    fn cost_hint(&self) -> executor::CostHint {
-        executor::CostHint::per_item_ns(self.avg_job_ns())
-    }
-
     /// Cumulative cache statistics.
     pub fn stats(&self) -> SessionStats {
         let hits = self.hits.load(Ordering::SeqCst);
@@ -407,9 +377,8 @@ impl<P: Platform> ExperimentSession<P> {
     /// [`measure_batch`](Self::measure_batch) with per-job failure isolation: each
     /// result is `Ok(measurement)` or `Err` carrying the panic that killed *that job
     /// alone*.  Failed jobs are never cached (memory or disk) — a later submission
-    /// retries them — and the worker pool, lease/latch handshake and memo cache all
-    /// stay poison-free, so one bad kernel (or one injected fault) can never wedge
-    /// later batches.
+    /// retries them — and the memo cache stays poison-free, so one bad kernel (or one
+    /// injected fault) can never wedge later batches.
     pub fn measure_batch_resilient(
         &self,
         jobs: &[(&MicroBenchmark, CmpSmtConfig)],
@@ -522,45 +491,37 @@ impl<P: Platform> ExperimentSession<P> {
 
     /// Tier 3: simulates the cache-missing jobs on the executor.
     /// Panics are caught *inside* the parallel closure, so a failing job surfaces as a
-    /// per-job `Err` while the executor never observes an unwinding task and the pool
-    /// survives intact.
+    /// per-job `Err` while the executor never observes an unwinding task and the rest
+    /// of the batch still runs.
     fn simulate_batch(
         &self,
         jobs: &[(&MicroBenchmark, CmpSmtConfig)],
         to_measure: &[(u128, usize)],
     ) -> Vec<Result<Measurement, JobError>> {
-        executor::par_map_with_workers_and_cost(
-            self.workers(),
-            self.cost_hint(),
-            to_measure,
-            |&(key, index)| {
-                let (benchmark, config) = jobs[index];
-                // Per-job wall time is always measured (two clock reads against a
-                // simulation run): it feeds the cost hint that decides whether the
-                // *next* batch is worth farming out at all, and at what chunk size.
-                let start = std::time::Instant::now();
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    faults::maybe_panic("session.job");
-                    self.platform.run(benchmark, config)
-                }));
-                match outcome {
-                    Ok(measurement) => {
-                        let wall_ns = start.elapsed().as_nanos() as u64;
-                        self.job_ns.fetch_add(wall_ns, Ordering::Relaxed);
-                        self.job_runs.fetch_add(1, Ordering::Relaxed);
-                        if mp_telemetry::enabled() {
-                            mp_telemetry::histogram("session.job_wall_ns", wall_ns);
-                            mp_telemetry::histogram("session.job_sim_cycles", measurement.cycles());
-                        }
-                        Ok(measurement)
+        executor::par_map_with_workers(self.workers(), to_measure, |&(key, index)| {
+            let (benchmark, config) = jobs[index];
+            let start = mp_telemetry::enabled().then(std::time::Instant::now);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                faults::maybe_panic("session.job");
+                self.platform.run(benchmark, config)
+            }));
+            match outcome {
+                Ok(measurement) => {
+                    if let Some(start) = start {
+                        mp_telemetry::histogram(
+                            "session.job_wall_ns",
+                            start.elapsed().as_nanos() as u64,
+                        );
+                        mp_telemetry::histogram("session.job_sim_cycles", measurement.cycles());
                     }
-                    Err(payload) => {
-                        mp_telemetry::counter("session.job_failed", 1);
-                        Err(JobError { key, message: panic_message(payload.as_ref()) })
-                    }
+                    Ok(measurement)
                 }
-            },
-        )
+                Err(payload) => {
+                    mp_telemetry::counter("session.job_failed", 1);
+                    Err(JobError { key, message: panic_message(payload.as_ref()) })
+                }
+            }
+        })
     }
 
     /// Runs a plan and returns one labelled sample per job, in plan order.
@@ -790,7 +751,7 @@ mod tests {
             assert!(error.message.contains("seed=12"), "panics carry their replay seed: {error}");
         }
 
-        // The session (cache, stats, pool) survives: resubmitting with injection off
+        // The session (cache, stats) survives: resubmitting with injection off
         // measures the failed jobs fresh and hits the cache for the survivors.
         let healed = session.measure_batch_resilient(&jobs);
         assert!(healed.iter().all(Result::is_ok), "every job heals on retry");
@@ -806,6 +767,8 @@ mod tests {
     #[test]
     fn a_store_backed_session_answers_a_fresh_session_from_disk() {
         let dir = crate::store::tests::TempDir::new("session-tier");
+        // Another test's fault plan would inject IO errors into this store.
+        let _faults = crate::faults::tests::serial();
         let bench = tiny_benchmark("persist", 5);
         let config = CmpSmtConfig::new(2, SmtMode::Smt2);
 

@@ -663,6 +663,8 @@ pub(crate) mod tests {
     #[test]
     fn save_then_load_roundtrips_through_the_filesystem() {
         let dir = TempDir::new("roundtrip");
+        // Another test's fault plan would inject IO errors into this store.
+        let _faults = crate::faults::tests::serial();
         let store = Store::open(dir.path(), 11).expect("opens");
         let m = sample_measurement(4);
         store.save(0xfeed_beef, &m);
@@ -677,6 +679,8 @@ pub(crate) mod tests {
     #[test]
     fn corrupt_records_are_quarantined_and_reported_as_misses() {
         let dir = TempDir::new("quarantine");
+        // Another test's fault plan would inject IO errors into this store.
+        let _faults = crate::faults::tests::serial();
         let store = Store::open(dir.path(), 3).expect("opens");
         let m = sample_measurement(1);
         store.save(1, &m);
@@ -699,6 +703,8 @@ pub(crate) mod tests {
     #[test]
     fn stale_digest_records_are_evicted() {
         let dir = TempDir::new("digest");
+        // Another test's fault plan would inject IO errors into this store.
+        let _faults = crate::faults::tests::serial();
         let old = Store::open(dir.path(), 100).expect("opens");
         old.save(9, &sample_measurement(1));
         let new = Store::open(dir.path(), 200).expect("reopens with a new backend digest");

@@ -2,7 +2,7 @@
 //!
 //! Every measurement flows through a memoizing [`ExperimentSession`]: a candidate set is
 //! turned into **one batch** of `(benchmark × SMT mode)` jobs, the unique jobs run in
-//! parallel on the work-stealing executor, and repeated candidates — within a set,
+//! parallel on the executor, and repeated candidates — within a set,
 //! across [`evaluate_set`](StressmarkSearch::evaluate_set) /
 //! [`exhaustive`](StressmarkSearch::exhaustive) calls, or between genetic generations —
 //! are answered from the session cache instead of being re-simulated.
@@ -209,9 +209,8 @@ impl<'a, P: Platform> StressmarkSearch<'a, P> {
                 })
             })
             .collect();
-        // Synthesizing one candidate takes ~100–300 µs (measured on the dev
-        // container), so small candidate sets fall back to inline synthesis instead of
-        // paying pool dispatch, while big DSE families still chunk across workers.
+        // Synthesizing one candidate takes ~100–300 µs, so sets of one or two
+        // candidates are synthesized inline instead of paying for spawned threads.
         const SYNTH_COST_NS: u64 = 200_000;
         let built: Vec<Result<MicroBenchmark, PassError>> = executor::par_map_with_workers_and_cost(
             self.session.workers(),

@@ -13,7 +13,7 @@ fn main() {
     let arch = session.platform().uarch().clone();
 
     // 1. Generate a reduced Table 2 training suite and measure it (in parallel on the
-    //    work-stealing executor; honours MP_THREADS).
+    //    parallel executor; honours MP_THREADS).
     let suite = TrainingSuite::generate(&arch, TrainingOptions::reduced(0.05, 96))
         .expect("training suite generates");
     let configs: Vec<CmpSmtConfig> = vec![

@@ -1,19 +1,17 @@
-//! Property + regression tests for the cost-aware scheduler in `mp_runtime`.
+//! Property + regression tests for the cost hint of `mp_runtime`'s parallel map.
 //!
-//! The scheduler may *route* a batch however it likes — inline on the caller, one
-//! task per item, or chunked onto the persistent pool — but the routing must be
-//! invisible in the results: for every adversarial job-size mix, every cost hint and
-//! every worker count in `1..=8`, `par_map_with_workers_and_cost` must be
-//! byte-identical to the plain serial loop.  The regression tests then pin the two
-//! routing guarantees the benchmarks rely on: cheap hinted batches never leave the
-//! caller's thread, and expensive batches run on pool workers that are *reused*
-//! across dispatches rather than respawned per call.
+//! The hint may *route* a batch inline on the caller or onto scoped worker threads,
+//! but the routing must be invisible in the results: for every adversarial job-size
+//! mix, every cost hint and every worker count in `1..=8`,
+//! `par_map_with_workers_and_cost` must be byte-identical to the plain serial loop.
+//! The regression test then pins the routing guarantee the benchmarks rely on: cheap
+//! hinted batches never leave the caller's thread.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
 use std::thread::{self, ThreadId};
 
-use mp_runtime::{par_map_with_workers_and_cost, worker_index, CostHint};
+use mp_runtime::{par_map_with_workers_and_cost, CostHint};
 use proptest::prelude::*;
 
 /// A deterministic integer-mixing job whose cost scales with `rounds` — the knob the
@@ -38,16 +36,11 @@ fn job_mixes() -> impl Strategy<Value = Vec<u32>> {
     ]
 }
 
-/// Cost hints covering every scheduling branch: the Unknown default (one task per
-/// item), the forced-inline hint, and per-item estimates from "obviously inline"
-/// through "obviously chunked" — including dishonest ones, which may only cost time,
-/// never correctness.
+/// Cost hints covering both routes: the Unknown default (always parallel) and
+/// per-item estimates from "obviously inline" through "obviously parallel" —
+/// including dishonest ones, which may only cost time, never correctness.
 fn hints() -> impl Strategy<Value = CostHint> {
-    prop_oneof![
-        Just(CostHint::Unknown),
-        Just(CostHint::Inline),
-        (1u64..3_000_000).prop_map(CostHint::per_item_ns),
-    ]
+    prop_oneof![Just(CostHint::Unknown), (1u64..3_000_000).prop_map(CostHint::per_item_ns),]
 }
 
 proptest! {
@@ -68,16 +61,15 @@ proptest! {
 }
 
 /// A batch whose hinted total cost sits far below the inline threshold must run
-/// entirely on the caller's thread: no pool dispatch, no `worker_index` identity.
+/// entirely on the caller's thread: no worker thread is spawned.
 #[test]
 fn cheap_hinted_batches_never_reach_the_worker_pool() {
     let caller = thread::current().id();
     let items: Vec<u64> = (0..64).collect();
     let threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
     // 64 items × 100 ns ≈ 6.4 µs of hinted work — two orders of magnitude under the
-    // default 500 µs threshold.
+    // 500 µs threshold.
     let mapped = par_map_with_workers_and_cost(8, CostHint::per_item_ns(100), &items, |&x| {
-        assert!(worker_index().is_none(), "inline job acquired a pool worker identity");
         threads.lock().expect("lock").insert(thread::current().id());
         x + 1
     });
@@ -86,32 +78,5 @@ fn cheap_hinted_batches_never_reach_the_worker_pool() {
         *threads.lock().expect("lock"),
         HashSet::from([caller]),
         "an inline batch left the caller's thread"
-    );
-}
-
-/// An expensive hinted batch is chunked onto pool workers (every job carries a
-/// `worker_index` identity), and repeated dispatches reuse those workers instead of
-/// spawning fresh threads per call — the regression that motivated the persistent
-/// pool.
-#[test]
-fn expensive_batches_reuse_persistent_pool_workers() {
-    const BATCHES: usize = 12;
-    const WORKERS: usize = 4;
-    let items: Vec<u64> = (0..64).collect();
-    let threads: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-    for _ in 0..BATCHES {
-        par_map_with_workers_and_cost(WORKERS, CostHint::per_item_ns(1_000_000), &items, |&x| {
-            assert!(worker_index().is_some(), "chunked job ran without a pool worker identity");
-            threads.lock().expect("lock").insert(thread::current().id());
-            spin(64, x)
-        });
-    }
-    // Per-call spawning would mint WORKERS fresh thread ids per batch (ThreadIds are
-    // never reused).  The bound leaves headroom for pool growth forced by other tests
-    // in this binary running concurrently.
-    let distinct = threads.lock().expect("lock").len();
-    assert!(
-        distinct < BATCHES * WORKERS / 2,
-        "{distinct} distinct worker threads across {BATCHES} batches — pool not reused"
     );
 }

@@ -76,11 +76,10 @@ proptest! {
 }
 
 /// Regression test for the scheduling the batch evaluators inherit from the
-/// work-stealing executor: one pathologically slow candidate must not strand the
-/// candidates queued behind it.  Candidate 0 blocks until every other candidate has
-/// been scored — under contiguous chunk scheduling its chunk-mates could never run and
-/// this would time out; with stealing the other worker drains them while candidate 0
-/// waits.
+/// executor: one pathologically slow candidate must not strand the candidates queued
+/// behind it.  Candidate 0 blocks until every other candidate has been scored — under
+/// contiguous chunk scheduling its chunk-mates could never run and this would time
+/// out; with per-item claiming the other worker drains them while candidate 0 waits.
 #[test]
 fn a_slow_candidate_does_not_strand_queued_evaluations() {
     let candidates: Vec<u32> = (0..8).collect();

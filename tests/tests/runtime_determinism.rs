@@ -1,8 +1,8 @@
 //! Property test: determinism under parallelism.
 //!
-//! For random measurement plans and every worker count in `1..=8`, the work-stealing
+//! For random measurement plans and every worker count in `1..=8`, the parallel
 //! executor ([`mp_runtime::par_map_with_workers`]) and the memoizing
-//! [`ExperimentSession`] produce results identical to the serial run — the steal
+//! [`ExperimentSession`] produce results identical to the serial run — the claim
 //! interleaving may reorder *execution*, but never the *results*.
 
 use std::sync::OnceLock;
