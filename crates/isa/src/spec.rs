@@ -707,24 +707,28 @@ pub fn power7_isa() -> Isa {
     load_isa("power7").expect("power7 ISA spec is embedded")
 }
 
-/// A 128-bit FNV-1a digest of spec text, used to fingerprint backend identities.
+/// The FNV-1a-128 offset basis: the state [`fnv1a_128`] starts from.
+pub const FNV1A_128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+
+/// Folds `bytes` into a running 128-bit FNV-1a hash (start from [`FNV1A_128_OFFSET`]).
 ///
-/// Deterministic across processes and platforms (unlike `DefaultHasher`), so digests
-/// can be embedded in job keys that persist across runs.
-pub fn spec_digest(parts: &[&str]) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+/// Deterministic across processes, platforms and toolchains (unlike `DefaultHasher`),
+/// so its digests can key records that persist across runs.
+pub fn fnv1a_128(mut hash: u128, bytes: &[u8]) -> u128 {
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut hash = OFFSET;
-    for part in parts {
-        for byte in part.as_bytes() {
-            hash ^= u128::from(*byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        // Separator so ("ab","c") and ("a","bc") differ.
-        hash ^= 0x1f;
+    for &byte in bytes {
+        hash ^= u128::from(byte);
         hash = hash.wrapping_mul(PRIME);
     }
     hash
+}
+
+/// A 128-bit FNV-1a digest of spec text, used to fingerprint backend identities.
+pub fn spec_digest(parts: &[&str]) -> u128 {
+    parts.iter().fold(FNV1A_128_OFFSET, |hash, part| {
+        // Separator so ("ab","c") and ("a","bc") differ.
+        fnv1a_128(fnv1a_128(hash, part.as_bytes()), &[0x1f])
+    })
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //!
 //! An [`ExperimentSession`] wraps a [`Platform`] and executes declarative
 //! [`ExperimentPlan`]s of `(benchmark, configuration)` measurement jobs.  Every job is
-//! content-hashed (the kernel body, data profile, misprediction rate and configuration —
-//! the benchmark *name* is deliberately excluded), duplicate jobs are measured once, and
+//! keyed by a stable hash of an explicit binary encoding of its content (the machine-spec
+//! digest, the kernel body, data profile, misprediction rate and configuration — the
+//! benchmark *name* is deliberately excluded), duplicate jobs are measured once, and
 //! the resulting [`Measurement`]s are memoized across plan submissions for the lifetime
 //! of the session.  The figure drivers and the integration-test fixtures therefore stop
 //! re-measuring the same pairs for every figure/model/test case.
@@ -28,7 +29,6 @@
 //! [`with_store`]: ExperimentSession::with_store
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -37,8 +37,9 @@ use microprobe::bootstrap::{Bootstrap, BootstrapOptions, BootstrapRecord};
 use microprobe::ir::MicroBenchmark;
 use microprobe::platform::Platform;
 use microprobe::synth::PassError;
+use mp_isa::spec::{fnv1a_128, FNV1A_128_OFFSET};
 use mp_power::{SampleKind, WorkloadSample};
-use mp_sim::Measurement;
+use mp_sim::{Kernel, Measurement};
 use mp_uarch::{CmpSmtConfig, InstrPropsTable};
 
 use crate::store::{Store, STORE_DIR_ENV};
@@ -52,47 +53,18 @@ use crate::{executor, faults, poison};
 /// the configuration, so the benchmark name is excluded — renamed copies of the same
 /// kernel dedupe onto one measurement, but the same kernel measured on two backends
 /// occupies two cache entries.
-fn job_key(benchmark: &MicroBenchmark, config: CmpSmtConfig, digest: u128) -> u128 {
-    use std::fmt::Write as _;
-
-    /// Feeds formatted output into two hashers without materialising a string (kernel
-    /// bodies reach thousands of instructions, and keys are recomputed per submission —
-    /// including pure cache-hit replays).
-    struct DualHasher {
-        lo: std::collections::hash_map::DefaultHasher,
-        hi: std::collections::hash_map::DefaultHasher,
-    }
-
-    impl std::fmt::Write for DualHasher {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            s.hash(&mut self.lo);
-            s.hash(&mut self.hi);
-            Ok(())
-        }
-    }
-
-    let kernel = benchmark.kernel();
-    let mut hasher = DualHasher {
-        lo: std::collections::hash_map::DefaultHasher::new(),
-        hi: std::collections::hash_map::DefaultHasher::new(),
-    };
-    // Distinct per-half prefixes make the two 64-bit digests independent.
-    0xA5u8.hash(&mut hasher.lo);
-    0x5Au8.hash(&mut hasher.hi);
-    digest.hash(&mut hasher.lo);
-    digest.hash(&mut hasher.hi);
-    // The kernel body has no stable binary serialisation; its `Debug` form is a faithful
-    // content encoding (every operand, memory access and attribute).
-    write!(
-        hasher,
-        "{:?}|{:?}|{}|{:?}",
-        kernel.body(),
-        kernel.data_profile(),
-        kernel.mispredict_rate().to_bits(),
-        config
-    )
-    .expect("hashing formatter never fails");
-    (u128::from(hasher.hi.finish()) << 64) | u128::from(hasher.lo.finish())
+///
+/// The key is FNV-1a-128 over one buffer: the digest (`u128`), the kernel's
+/// [`encode_content`](mp_sim::Kernel::encode_content) bytes, then `cores` and the SMT
+/// threads per core (`u32` each), integers little-endian.  Both the encoding and the
+/// hash are fixed, so keys are stable across processes and toolchains.
+fn job_key(kernel: &Kernel, config: CmpSmtConfig, digest: u128) -> u128 {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&digest.to_le_bytes());
+    kernel.encode_content(&mut bytes);
+    bytes.extend_from_slice(&config.cores.to_le_bytes());
+    bytes.extend_from_slice(&config.smt.threads_per_core().to_le_bytes());
+    fnv1a_128(FNV1A_128_OFFSET, &bytes)
 }
 
 /// One labelled measurement job of a plan.
@@ -340,10 +312,12 @@ impl<P: Platform> ExperimentSession<P> {
     /// machine-spec digest ([`MicroArchitecture::spec_digest`]) — so two sessions over
     /// different backends never share (or, if their caches were merged, collide on) a
     /// measurement, while renamed copies of one kernel on one backend still dedupe.
+    /// It hashes a fixed binary encoding with FNV-1a-128, so the same job gets the
+    /// same key in every process — what lets the persistent store answer a later run.
     ///
     /// [`MicroArchitecture::spec_digest`]: mp_uarch::MicroArchitecture
     pub fn job_key(&self, benchmark: &MicroBenchmark, config: CmpSmtConfig) -> u128 {
-        job_key(benchmark, config, self.platform.uarch().spec_digest)
+        job_key(benchmark.kernel(), config, self.platform.uarch().spec_digest)
     }
 
     /// Cumulative cache statistics.
@@ -385,7 +359,10 @@ impl<P: Platform> ExperimentSession<P> {
     ) -> Vec<Result<Measurement, JobError>> {
         let _batch_span = mp_telemetry::span("session.measure_batch");
         let digest = self.platform.uarch().spec_digest;
-        let keys: Vec<u128> = jobs.iter().map(|(b, c)| job_key(b, *c, digest)).collect();
+        let keys: Vec<u128> = {
+            let _keys_span = mp_telemetry::span("session.keys");
+            jobs.iter().map(|(b, c)| job_key(b.kernel(), *c, digest)).collect()
+        };
 
         // Tier 1 — memory, probed under one lock acquisition.  Unique misses collect in
         // first-appearance order (deterministic).  Disk probes and platform runs both
@@ -652,12 +629,14 @@ mod tests {
             "the same kernel on two backends files under two cache entries"
         );
 
-        // And the kernel-level fingerprint is backend-scoped the same way.
+        // The kernel's content encoding is backend-blind; only the digest the key mixes
+        // in tells the two backends apart.
         let kernel = bench.kernel();
-        assert_ne!(
-            kernel.content_hash_with(p7.platform().uarch().spec_digest),
-            kernel.content_hash_with(p8.platform().uarch().spec_digest),
-        );
+        let digest7 = p7.platform().uarch().spec_digest;
+        let digest8 = p8.platform().uarch().spec_digest;
+        assert_ne!(digest7, digest8);
+        assert_eq!(job_key(kernel, config, digest7), p7.job_key(&bench, config));
+        assert_ne!(job_key(kernel, config, digest7), job_key(kernel, config, digest8));
 
         // Each session measures the kernel on its own machine: one miss per backend,
         // and the measurements genuinely differ.
@@ -666,6 +645,138 @@ mod tests {
         assert_eq!(p7.stats().misses, 1);
         assert_eq!(p8.stats().misses, 1);
         assert_ne!(m7.average_power(), m8.average_power());
+    }
+
+    /// A hand-built kernel touching every operand variant and both memory tags.
+    fn key_fixture_body() -> Vec<mp_isa::Instruction> {
+        use mp_isa::{Instruction, MemAccess, Operand, RegRef};
+        let isa = mp_uarch::power7().isa;
+        let inst = |mnemonic: &str, operands: Vec<Operand>, mem: Option<MemAccess>| {
+            Instruction::new(&isa, isa.opcode(mnemonic).expect("opcode"), operands, mem)
+                .expect("valid instruction")
+        };
+        let gpr = |index| Operand::Reg(RegRef::gpr(index));
+        vec![
+            inst("add", vec![gpr(1), gpr(2), gpr(3)], None),
+            inst("addi", vec![gpr(4), gpr(5), Operand::Imm(4)], None),
+            inst(
+                "ld",
+                vec![gpr(6), Operand::Displacement(8), gpr(7)],
+                Some(MemAccess { address: 0x1000, bytes: 8, is_store: false }),
+            ),
+            inst("cmpd", vec![Operand::CrField(1), gpr(8), gpr(9)], None),
+            inst("bc", vec![Operand::CrField(1), Operand::BranchTarget(-4)], None),
+        ]
+    }
+
+    fn key_fixture(body: Vec<mp_isa::Instruction>) -> Kernel {
+        Kernel::new("keyed", body)
+            .with_data_profile(mp_sim::DataProfile::Constant)
+            .with_mispredict_rate(0.125)
+    }
+
+    const KEY_CONFIG: CmpSmtConfig = CmpSmtConfig { cores: 2, smt: SmtMode::Smt2 };
+
+    #[test]
+    fn spec_digests_and_job_keys_are_pinned() {
+        // Literal values: a change to the spec texts, the digest hash, the content
+        // encoding or the key layout shows up here, on any toolchain or host.
+        let p7 = mp_uarch::power7().spec_digest;
+        assert_eq!(p7, 0x2f7a_f288_01fd_8840_4109_4823_10b5_e4a3, "POWER7 spec digest");
+        assert_eq!(
+            mp_uarch::power8().spec_digest,
+            0xbc5e_7fe0_9a63_1d52_3c77_1dde_2cf1_6b11,
+            "POWER8 spec digest"
+        );
+        let kernel = key_fixture(key_fixture_body());
+        assert_eq!(
+            job_key(&kernel, KEY_CONFIG, p7),
+            0xc9cd_a5b5_f766_1369_2603_b06d_a1e5_8e00,
+            "pinned job key"
+        );
+    }
+
+    #[test]
+    fn changing_any_encoded_field_changes_the_job_key() {
+        use mp_isa::{Instruction, Operand, RegRef, RegisterFile};
+        let digest = mp_uarch::power7().spec_digest;
+        let isa = mp_uarch::power7().isa;
+        let base = key_fixture_body();
+        let body_with = |edit: &dyn Fn(&mut Vec<Instruction>)| {
+            let mut body = base.clone();
+            edit(&mut body);
+            key_fixture(body)
+        };
+        let set_operand = |inst: usize, slot: usize, operand: Operand| {
+            body_with(&move |body: &mut Vec<Instruction>| {
+                body[inst].operands_mut()[slot] = operand;
+            })
+        };
+        let set_mem = |inst: usize, edit: &dyn Fn(&mut mp_isa::MemAccess)| {
+            body_with(&|body: &mut Vec<Instruction>| {
+                let mut mem = body[inst].mem().unwrap_or(mp_isa::MemAccess {
+                    address: 0,
+                    bytes: 0,
+                    is_store: false,
+                });
+                edit(&mut mem);
+                body[inst].set_mem(Some(mem));
+            })
+        };
+        let subf = isa.opcode("subf").expect("subf");
+
+        let variants: Vec<(&str, Kernel, CmpSmtConfig)> = vec![
+            ("base", key_fixture(base.clone()), KEY_CONFIG),
+            (
+                "opcode",
+                body_with(&|body| {
+                    let operands = body[0].operands().to_vec();
+                    body[0] = Instruction::new(&isa, subf, operands, None).expect("valid");
+                }),
+                KEY_CONFIG,
+            ),
+            ("Imm(4) -> Displacement(4)", set_operand(1, 2, Operand::Displacement(4)), KEY_CONFIG),
+            ("Imm(4) -> BranchTarget(4)", set_operand(1, 2, Operand::BranchTarget(4)), KEY_CONFIG),
+            ("register index", set_operand(0, 1, Operand::Reg(RegRef::gpr(12))), KEY_CONFIG),
+            (
+                "register file",
+                set_operand(0, 1, Operand::Reg(RegRef::new(RegisterFile::Fpr, 2))),
+                KEY_CONFIG,
+            ),
+            ("CR field", set_operand(3, 0, Operand::CrField(2)), KEY_CONFIG),
+            ("mem None -> Some(0, 0, load)", set_mem(0, &|_| {}), KEY_CONFIG),
+            ("mem address", set_mem(2, &|mem| mem.address += 8), KEY_CONFIG),
+            ("mem bytes", set_mem(2, &|mem| mem.bytes = 4), KEY_CONFIG),
+            ("mem is_store", set_mem(2, &|mem| mem.is_store = true), KEY_CONFIG),
+            (
+                "mem Some -> None",
+                body_with(&|body: &mut Vec<Instruction>| body[2].set_mem(None)),
+                KEY_CONFIG,
+            ),
+            ("swapped instructions", body_with(&|body| body.swap(0, 1)), KEY_CONFIG),
+            ("dropped instruction", body_with(&|body| body.truncate(4)), KEY_CONFIG),
+            (
+                "data profile",
+                key_fixture(base.clone()).with_data_profile(mp_sim::DataProfile::Zeros),
+                KEY_CONFIG,
+            ),
+            (
+                "mispredict bits",
+                key_fixture(base.clone())
+                    .with_mispredict_rate(f64::from_bits(0.125f64.to_bits() + 1)),
+                KEY_CONFIG,
+            ),
+            ("cores", key_fixture(base.clone()), CmpSmtConfig::new(3, SmtMode::Smt2)),
+            ("SMT mode", key_fixture(base.clone()), CmpSmtConfig::new(2, SmtMode::Smt4)),
+        ];
+
+        let mut seen: HashMap<u128, &str> = HashMap::new();
+        for (label, kernel, config) in &variants {
+            if let Some(other) = seen.insert(job_key(kernel, *config, digest), label) {
+                panic!("`{label}` and `{other}` share a job key");
+            }
+        }
+        assert_eq!(seen.len(), variants.len());
     }
 
     #[test]

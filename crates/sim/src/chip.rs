@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use mp_isa::spec::{fnv1a_128, FNV1A_128_OFFSET};
 use mp_uarch::{CmpSmtConfig, MicroArchitecture};
 
 use crate::core::CoreSim;
@@ -162,16 +163,20 @@ impl ChipSim {
     /// configuration exceeds the chip's core count.
     pub fn run_heterogeneous(&self, kernels: &[Kernel], config: CmpSmtConfig) -> Measurement {
         // Decode each *distinct* kernel once; repeated kernels reuse the decoded body.
-        // Kernels are bucketed by content hash so a 32-thread deployment does O(n)
-        // hash lookups instead of O(n²) deep `Kernel` comparisons; equality inside a
-        // bucket guards against hash collisions.
+        // Kernels are bucketed by a hash of their content encoding so a 32-thread
+        // deployment does O(n) hash lookups instead of O(n²) deep `Kernel`
+        // comparisons; equality inside a bucket guards against hash collisions.
         let decode_span = mp_telemetry::span("sim.decode");
         let mut seen: Vec<(&Kernel, DecodedBody)> = Vec::new();
-        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut by_hash: HashMap<u128, Vec<usize>> = HashMap::new();
+        let mut content = Vec::new();
         let bodies: Vec<DecodedBody> = kernels
             .iter()
             .map(|kernel| {
-                let bucket = by_hash.entry(kernel.content_hash()).or_default();
+                content.clear();
+                kernel.encode_content(&mut content);
+                let hash = fnv1a_128(FNV1A_128_OFFSET, &content);
+                let bucket = by_hash.entry(hash).or_default();
                 if let Some(&i) = bucket.iter().find(|&&i| seen[i].0 == kernel) {
                     return seen[i].1.clone();
                 }

@@ -1,6 +1,6 @@
 //! Executable micro-benchmark kernels.
 
-use mp_isa::Instruction;
+use mp_isa::{Instruction, Operand};
 
 /// How the generator initialised the data (registers, immediates and memory) consumed by
 /// the kernel.
@@ -106,47 +106,55 @@ impl Kernel {
         self.mispredict_rate
     }
 
-    /// A 64-bit hash of the kernel's *content* — loop body, data profile and
-    /// misprediction rate, excluding the name — so deployments with many hardware
-    /// thread contexts can bucket repeated kernels without deep comparisons.
+    /// Appends the kernel's *content* — loop body, data profile and misprediction
+    /// rate, excluding the name — to `out` as an explicit binary encoding.
     ///
-    /// Two kernels that simulate identically hash identically; collisions are possible
-    /// and callers must confirm with an equality check.
-    pub fn content_hash(&self) -> u64 {
-        self.content_hash_with(0)
-    }
-
-    /// [`content_hash`](Self::content_hash) scoped to a backend: mixes the machine
-    /// spec digest (`MicroArchitecture::spec_digest`) into the fingerprint, so the
-    /// same kernel content simulated on two different backends hashes differently.
+    /// Kernels with equal encodings simulate identically, and the encoding is
+    /// self-delimiting, so the bytes serve as the content identity of a kernel: hash
+    /// them to key or bucket kernels.  Layout, integers little-endian:
     ///
-    /// A digest of 0 (the hand-coded / non-spec-loaded marker) reproduces the plain
-    /// backend-blind `content_hash`.
-    pub fn content_hash_with(&self, backend_digest: u128) -> u64 {
-        use std::fmt::Write as _;
-        use std::hash::{Hash, Hasher};
-
-        /// Streams formatted output into a hasher without materialising a string
-        /// (bodies reach thousands of instructions).
-        struct HashWriter(std::collections::hash_map::DefaultHasher);
-
-        impl std::fmt::Write for HashWriter {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                s.hash(&mut self.0);
-                Ok(())
+    /// - body length (`u32`), then per instruction: opcode index (`u32`), operand
+    ///   count (`u8`), one tag byte plus payload per operand (`Reg` → register file
+    ///   byte + `u16` index; `Imm`, `Displacement`, `BranchTarget` → `i64`;
+    ///   `CrField` → `u8`), and a memory tag (`0`, or `1` + `u64` address + `u8`
+    ///   bytes + `u8` store flag);
+    /// - the data profile byte and the `u64` bits of the misprediction rate.
+    pub fn encode_content(&self, out: &mut Vec<u8>) {
+        let len = u32::try_from(self.body.len()).expect("loop bodies fit a u32 length");
+        out.extend_from_slice(&len.to_le_bytes());
+        for inst in &self.body {
+            let opcode = u32::try_from(inst.opcode().index()).expect("opcode ids are u32");
+            out.extend_from_slice(&opcode.to_le_bytes());
+            out.push(u8::try_from(inst.operands().len()).expect("at most 255 operands"));
+            for operand in inst.operands() {
+                match *operand {
+                    Operand::Reg(reg) => {
+                        out.extend_from_slice(&[0, reg.file as u8]);
+                        out.extend_from_slice(&reg.index.to_le_bytes());
+                    }
+                    Operand::Imm(value) => encode_i64(out, 1, value),
+                    Operand::Displacement(value) => encode_i64(out, 2, value),
+                    Operand::BranchTarget(value) => encode_i64(out, 3, value),
+                    Operand::CrField(field) => out.extend_from_slice(&[4, field]),
+                }
+            }
+            match inst.mem() {
+                None => out.push(0),
+                Some(mem) => {
+                    out.push(1);
+                    out.extend_from_slice(&mem.address.to_le_bytes());
+                    out.extend_from_slice(&[mem.bytes, u8::from(mem.is_store)]);
+                }
             }
         }
-
-        let mut writer = HashWriter(std::collections::hash_map::DefaultHasher::new());
-        if backend_digest != 0 {
-            backend_digest.hash(&mut writer.0);
-        }
-        // The body has no stable binary serialisation; its `Debug` form is a faithful
-        // content encoding (every operand, memory access and attribute).
-        write!(writer, "{:?}|{:?}|{}", self.body, self.data, self.mispredict_rate.to_bits())
-            .expect("hashing formatter never fails");
-        writer.0.finish()
+        out.push(self.data as u8);
+        out.extend_from_slice(&self.mispredict_rate.to_bits().to_le_bytes());
     }
+}
+
+fn encode_i64(out: &mut Vec<u8>, tag: u8, value: i64) {
+    out.push(tag);
+    out.extend_from_slice(&value.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -200,29 +208,37 @@ mod tests {
         let _ = Kernel::new("k", vec![add_inst()]).with_mispredict_rate(1.5);
     }
 
-    #[test]
-    fn content_hash_ignores_the_name_but_not_the_content() {
-        let a = Kernel::new("a", vec![add_inst()]);
-        let renamed = Kernel::new("b", vec![add_inst()]);
-        assert_eq!(a.content_hash(), renamed.content_hash());
-        let zeros = Kernel::new("a", vec![add_inst()]).with_data_profile(DataProfile::Zeros);
-        assert_ne!(a.content_hash(), zeros.content_hash());
-        let longer = Kernel::new("a", vec![add_inst(), add_inst()]);
-        assert_ne!(a.content_hash(), longer.content_hash());
-        let noisy = Kernel::new("a", vec![add_inst()]).with_mispredict_rate(0.25);
-        assert_ne!(a.content_hash(), noisy.content_hash());
+    fn encoding(kernel: &Kernel) -> Vec<u8> {
+        let mut out = Vec::new();
+        kernel.encode_content(&mut out);
+        out
     }
 
     #[test]
-    fn content_hash_is_scoped_to_the_backend_digest() {
+    fn encode_content_ignores_the_name_but_not_the_content() {
         let a = Kernel::new("a", vec![add_inst()]);
-        assert_eq!(a.content_hash_with(0), a.content_hash(), "digest 0 is the plain hash");
-        assert_ne!(a.content_hash_with(1), a.content_hash_with(2), "backends do not collide");
         let renamed = Kernel::new("b", vec![add_inst()]);
-        assert_eq!(
-            a.content_hash_with(7),
-            renamed.content_hash_with(7),
-            "the name stays excluded under a backend digest"
-        );
+        assert_eq!(encoding(&a), encoding(&renamed));
+        let zeros = Kernel::new("a", vec![add_inst()]).with_data_profile(DataProfile::Zeros);
+        assert_ne!(encoding(&a), encoding(&zeros));
+        let longer = Kernel::new("a", vec![add_inst(), add_inst()]);
+        assert_ne!(encoding(&a), encoding(&longer));
+        let noisy = Kernel::new("a", vec![add_inst()]).with_mispredict_rate(0.25);
+        assert_ne!(encoding(&a), encoding(&noisy));
+    }
+
+    #[test]
+    fn encode_content_appends_a_length_prefixed_record() {
+        let a = Kernel::new("a", vec![add_inst()]);
+        let bytes = encoding(&a);
+        // Body length, then opcode + operand count + three registers + memory tag,
+        // then the data profile byte and the misprediction bits.
+        assert_eq!(bytes.len(), 4 + (4 + 1 + 3 * 4 + 1) + 1 + 8);
+        assert_eq!(bytes[..4], 1u32.to_le_bytes());
+
+        let longer = Kernel::new("b", vec![add_inst(), add_inst()]);
+        let mut both = bytes.clone();
+        longer.encode_content(&mut both);
+        assert_eq!(both, [bytes, encoding(&longer)].concat(), "encoding appends");
     }
 }

@@ -256,6 +256,26 @@ fn summary_reports_executor_and_session_metrics() {
 }
 
 #[test]
+fn one_batch_records_exactly_one_session_keys_span() {
+    let _lock = serial();
+    let _restore = TelemetryOff;
+    let plan = fixed_plan();
+    let session = ExperimentSession::new(fast_platform()).with_workers(2);
+
+    // Inert while telemetry is off...
+    session.run(&plan);
+    assert!(mp_telemetry::snapshot().spans.is_empty(), "disabled batch recorded spans");
+
+    // ...and one span around the whole batch's keying once it is on, whether the batch
+    // is all hits (this replay) or not.
+    mp_telemetry::set_enabled(true);
+    session.run(&plan);
+    let agg = mp_telemetry::snapshot();
+    let keys = agg.spans.get("session.keys").map_or(0, |span| span.durations.count);
+    assert_eq!(keys, 1, "one session.keys span per measure_batch");
+}
+
+#[test]
 fn executor_task_spans_count_exactly_the_parallel_items() {
     let _lock = serial();
     let _restore = TelemetryOff;
