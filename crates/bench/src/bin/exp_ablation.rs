@@ -12,7 +12,7 @@ use mp_bench::{ExperimentScale, Experiments};
 use mp_power::{paae, TopDownModel, WorkloadSample};
 
 fn main() {
-    let scale = ExperimentScale::from_arg(std::env::args().nth(1).as_deref());
+    let scale = ExperimentScale::from_cli();
     let experiments = Experiments::new(scale);
 
     // ---- Ablation 2: drop the CMP/SMT inputs from a counter-based model ----------------

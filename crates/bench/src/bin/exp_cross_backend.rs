@@ -25,7 +25,7 @@ fn fixture_kernels(isa: &mp_isa::Isa) -> Vec<Kernel> {
 }
 
 fn main() {
-    let scale = ExperimentScale::from_arg(std::env::args().nth(1).as_deref());
+    let scale = ExperimentScale::from_cli();
     let backends: Vec<(String, Experiments)> = mp_uarch::backend_names()
         .iter()
         .map(|name| {

@@ -3,7 +3,7 @@
 use mp_bench::{ExperimentScale, Experiments};
 
 fn main() {
-    let scale = ExperimentScale::from_arg(std::env::args().nth(1).as_deref());
+    let scale = ExperimentScale::from_cli();
     let experiments = Experiments::new(scale);
     let taxonomy = experiments.taxonomy_study();
     println!("{}", experiments.table3(&taxonomy));

@@ -5,8 +5,7 @@
 use mp_bench::{ExperimentScale, Experiments};
 
 fn main() {
-    let arg = std::env::args().nth(1);
-    let scale = ExperimentScale::from_arg(arg.as_deref());
+    let scale = ExperimentScale::from_cli();
     let experiments = Experiments::new(scale);
     println!("{}", experiments.run_all());
     // Variable observability (executor job counts, wall times, Chrome trace, persistent-store

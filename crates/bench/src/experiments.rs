@@ -40,13 +40,27 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Parses a command line argument (`quick`, `standard`/`std`, `full`).
-    pub fn from_arg(arg: Option<&str>) -> Self {
-        match arg.map(str::to_ascii_lowercase).as_deref() {
-            Some("quick") => ExperimentScale::Quick,
-            Some("full") => ExperimentScale::Full,
-            _ => ExperimentScale::Standard,
+    /// Parses a scale name, in any case: `quick`, `standard` (or `std`) or `full`.  No
+    /// argument means `Standard`; any other name is an error.
+    pub fn from_arg(arg: Option<&str>) -> Result<Self, String> {
+        let Some(name) = arg else { return Ok(ExperimentScale::Standard) };
+        match name.to_ascii_lowercase().as_str() {
+            "quick" => Ok(ExperimentScale::Quick),
+            "standard" | "std" => Ok(ExperimentScale::Standard),
+            "full" => Ok(ExperimentScale::Full),
+            _ => Err(format!("unknown scale `{name}`")),
         }
+    }
+
+    /// The scale named by the process's first argument.  An unknown name prints a usage
+    /// line to stderr and exits with status 2, so a typo never runs the wrong scale.
+    pub fn from_cli() -> Self {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        Self::from_arg(args.next().as_deref()).unwrap_or_else(|error| {
+            eprintln!("{error}\nusage: {program} [quick|standard|full]");
+            std::process::exit(2)
+        })
     }
 
     fn training_scale(self) -> f64 {
@@ -699,5 +713,27 @@ impl Experiments {
         // across MP_THREADS settings (the summary line is scheduling-independent).
         let _ = writeln!(out, "{}", self.session.stats().summary_line());
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ExperimentScale;
+
+    #[test]
+    fn scale_names_parse_and_unknown_names_are_rejected() {
+        for (arg, scale) in [
+            (None, ExperimentScale::Standard),
+            (Some("quick"), ExperimentScale::Quick),
+            (Some("QUICK"), ExperimentScale::Quick),
+            (Some("standard"), ExperimentScale::Standard),
+            (Some("std"), ExperimentScale::Standard),
+            (Some("full"), ExperimentScale::Full),
+        ] {
+            assert_eq!(ExperimentScale::from_arg(arg), Ok(scale), "{arg:?}");
+        }
+        for arg in ["quik", "", "fast", "quick "] {
+            assert_eq!(ExperimentScale::from_arg(Some(arg)), Err(format!("unknown scale `{arg}`")));
+        }
     }
 }

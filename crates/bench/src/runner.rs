@@ -60,11 +60,6 @@ pub fn measure_benchmarks<P: Platform>(
     session.run(&measurement_plan(benchmarks, configs))
 }
 
-/// Default parallelism: `MP_THREADS` when set, otherwise the host's available cores.
-pub fn default_parallelism() -> usize {
-    mp_runtime::default_workers()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

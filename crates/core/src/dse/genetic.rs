@@ -5,6 +5,9 @@ use rand::{Rng, SeedableRng};
 
 use super::{sanitize_scores, BatchEvaluator, SearchResult};
 
+/// The per-offspring mutation probability.
+const MUTATION_RATE: f64 = 0.25;
+
 /// Describes how candidate points are created and recombined by the genetic search.
 pub trait GenomeSpace {
     /// The candidate point type.
@@ -33,7 +36,6 @@ pub trait GenomeSpace {
 pub struct GeneticSearch {
     population: usize,
     generations: usize,
-    mutation_rate: f64,
     elite: usize,
     seed: u64,
 }
@@ -47,18 +49,7 @@ impl GeneticSearch {
     pub fn new(population: usize, generations: usize) -> Self {
         assert!(population >= 2, "population must be at least 2");
         assert!(generations >= 1, "at least one generation is required");
-        Self { population, generations, mutation_rate: 0.25, elite: 1, seed: 0xdead_beef }
-    }
-
-    /// Sets the per-offspring mutation probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is outside `[0, 1]`.
-    pub fn with_mutation_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "mutation rate must be in [0,1]");
-        self.mutation_rate = rate;
-        self
+        Self { population, generations, elite: 1, seed: 0xdead_beef }
     }
 
     /// Sets the random seed (searches are deterministic given the seed).
@@ -101,7 +92,7 @@ impl GeneticSearch {
                     let a = self.tournament(&scored, &mut rng);
                     let b = self.tournament(&scored, &mut rng);
                     let mut child = space.crossover(&scored[a].0, &scored[b].0, &mut rng);
-                    if rng.gen::<f64>() < self.mutation_rate {
+                    if rng.gen::<f64>() < MUTATION_RATE {
                         space.mutate(&mut child, &mut rng);
                     }
                     child

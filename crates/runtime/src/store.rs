@@ -119,13 +119,6 @@ impl Store {
         })
     }
 
-    /// Opens the store named by [`STORE_DIR_ENV`], if set.  Open failures are a
-    /// warning and `None` (a bad store path must not take the experiment down).
-    pub fn from_env(digest: u128) -> Option<Self> {
-        let root = std::env::var_os(STORE_DIR_ENV).filter(|v| !v.is_empty())?;
-        Self::open_lenient(PathBuf::from(root), digest)
-    }
-
     /// [`open`](Self::open) with the failure demoted to a stderr warning and `None` —
     /// what sessions use, so a bad store path degrades to in-memory-only operation
     /// instead of aborting an experiment.

@@ -10,7 +10,7 @@ use mp_uarch::{CmpSmtConfig, MicroArchitecture};
 
 use crate::core::CoreSim;
 use crate::decoded::DecodedBody;
-use crate::energy::{EnergyBreakdown, EnergyParams, EnergyTables};
+use crate::energy::{EnergyBreakdown, EnergyTables};
 use crate::kernel::Kernel;
 use crate::measurement::{Measurement, PowerTrace};
 use crate::uncore::{UncoreMode, UncoreSim};
@@ -107,7 +107,6 @@ impl Default for SimOptions {
 #[derive(Debug, Clone)]
 pub struct ChipSim {
     uarch: MicroArchitecture,
-    params: EnergyParams,
     options: SimOptions,
     /// `OpcodeId`-indexed property snapshot, built once here — the machine description
     /// is immutable after construction, and kernel pre-decoding reads it on every run.
@@ -119,19 +118,12 @@ impl ChipSim {
     /// parameters from the description's own spec, with default run options.
     pub fn new(uarch: MicroArchitecture) -> Self {
         let props = uarch.opcode_props();
-        let params = uarch.energy.clone();
-        Self { uarch, params, options: SimOptions::default(), props }
+        Self { uarch, options: SimOptions::default(), props }
     }
 
     /// Replaces the run options.
     pub fn with_options(mut self, options: SimOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Replaces the ground-truth energy parameters (used by ablation experiments).
-    pub fn with_energy_params(mut self, params: EnergyParams) -> Self {
-        self.params = params;
         self
     }
 
@@ -150,7 +142,7 @@ impl ChipSim {
     pub fn run(&self, kernel: &Kernel, config: CmpSmtConfig) -> Measurement {
         let body = {
             let _span = mp_telemetry::span("sim.decode");
-            DecodedBody::decode(kernel, &self.uarch, &self.props, &self.params)
+            DecodedBody::decode(kernel, &self.uarch, &self.props)
         };
         self.run_bodies(vec![body; config.threads() as usize], config)
     }
@@ -180,7 +172,7 @@ impl ChipSim {
                 if let Some(&i) = bucket.iter().find(|&&i| seen[i].0 == kernel) {
                     return seen[i].1.clone();
                 }
-                let body = DecodedBody::decode(kernel, &self.uarch, &self.props, &self.params);
+                let body = DecodedBody::decode(kernel, &self.uarch, &self.props);
                 bucket.push(seen.len());
                 seen.push((kernel, body.clone()));
                 body
@@ -237,7 +229,7 @@ impl ChipSim {
             .collect();
 
         let mut uncore = UncoreSim::new(&self.uarch, self.options.uncore_mode);
-        let tables = EnergyTables::new(&self.params);
+        let tables = EnergyTables::new(&self.uarch.energy);
         // Warm-up: caches fill, pipes reach steady state; energy is discarded.
         let warmup_span = mp_telemetry::span("sim.warmup");
         for now in 0..self.options.warmup_cycles {
@@ -329,21 +321,21 @@ impl ChipSim {
     /// the chip (all cores clock-gated).
     pub fn measure_idle(&self) -> f64 {
         let mut rng = SmallRng::seed_from_u64(self.options.seed ^ 0x1d1e);
-        self.add_noise(self.params.idle_power, &mut rng)
+        self.add_noise(self.uarch.energy.idle_power, &mut rng)
     }
 
     /// Adds the static (non-instruction-driven) energy of one cycle.
     fn accrue_static(&self, breakdown: &mut EnergyBreakdown, config: CmpSmtConfig) {
-        breakdown.idle += self.params.idle_power;
+        breakdown.idle += self.uarch.energy.idle_power;
         // With a private uncore the paper's constant uncore power applies; in shared
         // mode the uncore component is fully dynamic (accrued per L3 access, memory
         // transfer and bandwidth stall by `UncoreSim`/`CoreSim`).
         if self.options.uncore_mode == UncoreMode::Private {
-            breakdown.uncore += self.params.uncore_power;
+            breakdown.uncore += self.uarch.energy.uncore_power;
         }
-        breakdown.cmp += self.params.per_core_power * f64::from(config.cores);
+        breakdown.cmp += self.uarch.energy.per_core_power * f64::from(config.cores);
         if config.smt.smt_enabled() {
-            breakdown.smt += self.params.smt_power * f64::from(config.cores);
+            breakdown.smt += self.uarch.energy.smt_power * f64::from(config.cores);
         }
     }
 
@@ -361,6 +353,7 @@ impl ChipSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::EnergyParams;
     use mp_isa::{Instruction, Operand, RegRef};
     use mp_uarch::{power7, SmtMode};
 

@@ -463,7 +463,7 @@ mod tests {
 
     fn decode_all(uarch: &MicroArchitecture, kernels: &[Kernel]) -> Vec<DecodedBody> {
         let props = uarch.opcode_props();
-        kernels.iter().map(|k| DecodedBody::decode(k, uarch, &props, &uarch.energy)).collect()
+        kernels.iter().map(|k| DecodedBody::decode(k, uarch, &props)).collect()
     }
 
     fn run_core(

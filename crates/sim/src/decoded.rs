@@ -17,7 +17,6 @@
 use mp_isa::{encoding, IssueClass, MemAccess, RegDenseMap};
 use mp_uarch::{MicroArchitecture, OpcodePropsTable};
 
-use crate::energy::EnergyParams;
 use crate::kernel::Kernel;
 
 /// Pre-resolved per-instruction attributes packed into one byte.
@@ -72,15 +71,14 @@ pub(crate) struct DecodedBody {
 
 impl DecodedBody {
     /// Compiles `kernel` against `uarch`, resolving every per-issue lookup ahead of
-    /// time, including each instruction's datapath energy under `params`.  Called once
-    /// per distinct kernel of a run, never on the per-cycle path; `props` (one
+    /// time, including each instruction's datapath energy under `uarch.energy`.  Called
+    /// once per distinct kernel of a run, never on the per-cycle path; `props` (one
     /// [`MicroArchitecture::opcode_props`] snapshot per run) is shared across all
     /// decodes.
     pub(crate) fn decode(
         kernel: &Kernel,
         uarch: &MicroArchitecture,
         props: &OpcodePropsTable,
-        params: &EnergyParams,
     ) -> Self {
         let isa = &uarch.isa;
         let body = kernel.body();
@@ -123,7 +121,7 @@ impl DecodedBody {
             decoded.latency.push(u64::from(p.latency_cycles));
             decoded.recip_throughput.push(p.recip_throughput);
             decoded.encoding.push(encoding::encode(isa, inst));
-            decoded.datapath.push(params.datapath_energy(
+            decoded.datapath.push(uarch.energy.datapath_energy(
                 def.complexity(),
                 def.operand_width(),
                 switching_factor,
@@ -268,7 +266,7 @@ mod tests {
         let isa = &uarch.isa;
         let props = uarch.opcode_props();
         for kernel in [compute_bound(isa), memory_bound(isa), branchy(isa)] {
-            let d = DecodedBody::decode(&kernel, &uarch, &props, &uarch.energy);
+            let d = DecodedBody::decode(&kernel, &uarch, &props);
             assert_eq!(d.len(), kernel.len());
             for (i, inst) in kernel.body().iter().enumerate() {
                 let def = isa.def(inst.opcode());
@@ -290,7 +288,7 @@ mod tests {
         let uarch = power7();
         let isa = &uarch.isa;
         let kernel = memory_bound(isa);
-        let d = DecodedBody::decode(&kernel, &uarch, &uarch.opcode_props(), &uarch.energy);
+        let d = DecodedBody::decode(&kernel, &uarch, &uarch.opcode_props());
 
         // Rebuild the dense map the same way decode() does and compare set bits
         // against the operand-derived read/write sets.
@@ -328,7 +326,7 @@ mod tests {
         let uarch = power7();
         let isa = &uarch.isa;
         let props = uarch.opcode_props();
-        let decode = |k: &Kernel| DecodedBody::decode(k, &uarch, &props, &uarch.energy);
+        let decode = |k: &Kernel| DecodedBody::decode(k, &uarch, &props);
         assert!(decode(&branchy(isa)).draws_rng());
         assert!(!decode(&branchy(isa).with_mispredict_rate(0.0)).draws_rng());
         // A misprediction rate without conditional branches never reaches the RNG.

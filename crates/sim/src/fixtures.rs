@@ -323,12 +323,7 @@ mod tests {
     fn wide_registers_need_two_mask_words() {
         let uarch = mp_uarch::power7();
         let kernel = wide_registers(&uarch.isa);
-        let decoded = crate::decoded::DecodedBody::decode(
-            &kernel,
-            &uarch,
-            &uarch.opcode_props(),
-            &uarch.energy,
-        );
+        let decoded = crate::decoded::DecodedBody::decode(&kernel, &uarch, &uarch.opcode_props());
         assert!(decoded.dense_regs() > 64, "{} dense registers", decoded.dense_regs());
     }
 

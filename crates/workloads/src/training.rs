@@ -430,12 +430,6 @@ fn add_random_passes(arch: &MicroArchitecture, synth: &mut Synthesizer, idx: usi
     synth.add_pass(BranchBehaviorPass::conditional_every(32, (idx % 5) as f64 * 0.01));
 }
 
-/// Ensures the mp-sim dependency is exercised by this crate's public API surface.
-#[doc(hidden)]
-pub fn _kernel_len(bench: &MicroBenchmark) -> usize {
-    bench.kernel().len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
