@@ -20,6 +20,14 @@ pub trait Platform: Send + Sync {
     /// returns the counter and power measurements.
     fn run(&self, bench: &MicroBenchmark, config: CmpSmtConfig) -> Measurement;
 
+    /// Runs the benchmark on each configuration of a family that shares one SMT mode,
+    /// returning one measurement per configuration in order: the same measurements as
+    /// calling [`run`](Self::run) on each.  The default does exactly that; a platform
+    /// that can share work across core counts overrides it.
+    fn run_family(&self, bench: &MicroBenchmark, configs: &[CmpSmtConfig]) -> Vec<Measurement> {
+        configs.iter().map(|&config| self.run(bench, config)).collect()
+    }
+
     /// Runs one (possibly different) benchmark per hardware thread context.
     fn run_heterogeneous(&self, benches: &[MicroBenchmark], config: CmpSmtConfig) -> Measurement;
 
@@ -28,7 +36,8 @@ pub trait Platform: Send + Sync {
 }
 
 /// Forwarding impl so borrowed platforms can be handed to APIs that take a platform by
-/// value (e.g. a memoizing session wrapping a caller-owned platform).
+/// value (e.g. a memoizing session wrapping a caller-owned platform).  It forwards
+/// every method, defaulted ones included, so a borrowed platform keeps its overrides.
 impl<P: Platform + ?Sized> Platform for &P {
     fn uarch(&self) -> &MicroArchitecture {
         (**self).uarch()
@@ -36,6 +45,10 @@ impl<P: Platform + ?Sized> Platform for &P {
 
     fn run(&self, bench: &MicroBenchmark, config: CmpSmtConfig) -> Measurement {
         (**self).run(bench, config)
+    }
+
+    fn run_family(&self, bench: &MicroBenchmark, configs: &[CmpSmtConfig]) -> Vec<Measurement> {
+        (**self).run_family(bench, configs)
     }
 
     fn run_heterogeneous(&self, benches: &[MicroBenchmark], config: CmpSmtConfig) -> Measurement {
@@ -83,6 +96,12 @@ impl Platform for SimPlatform {
 
     fn run(&self, bench: &MicroBenchmark, config: CmpSmtConfig) -> Measurement {
         self.sim.run(bench.kernel(), config)
+    }
+
+    /// Shares the core simulations across the family's core counts
+    /// ([`ChipSim::run_family`]).
+    fn run_family(&self, bench: &MicroBenchmark, configs: &[CmpSmtConfig]) -> Vec<Measurement> {
+        self.sim.run_family(bench.kernel(), configs)
     }
 
     fn run_heterogeneous(&self, benches: &[MicroBenchmark], config: CmpSmtConfig) -> Measurement {

@@ -16,9 +16,10 @@
 //!
 //! Every decision is a pure function of `(seed, site, occurrence index)` — no OS
 //! entropy, no clocks — so a failure observed in CI is replayed exactly by running the
-//! same binary with the same `MP_FAULTS` value (under `MP_THREADS=1` the mapping of
-//! occurrences to jobs is fully deterministic too; with more workers the *set* of
-//! injected occurrences per site is unchanged but may land on different jobs).
+//! same binary with the same `MP_FAULTS` value.  Store probes and job panics are drawn
+//! serially on the submitting thread in a fixed job order, so the jobs they hit are the
+//! same at any `MP_THREADS`; executor delays are drawn by whichever worker claims a
+//! task, so only their *set* per site is fixed — and delays never change results.
 //! Injected panics carry the seed, site and occurrence index in their message for
 //! exactly this reason.
 //!
@@ -249,13 +250,18 @@ pub fn torn_write(site: &'static str, len: usize) -> Option<usize> {
     }
 }
 
-/// Panics at `site` if this occurrence is selected.  The message carries everything
-/// needed to replay the failure: seed, site and occurrence index.
-pub fn maybe_panic(site: &'static str) {
-    if let Some((true, _)) = draw(site, |p| p.job_panic) {
-        let seed = plan().map(|p| p.seed).unwrap_or(0);
-        mp_telemetry::counter("faults.panic", 1);
-        panic!("injected fault: panic at {site} (MP_FAULTS seed={seed})");
+/// Draws whether this occurrence of `site` panics, returning the message to panic
+/// with, which names the seed and the site to replay it from.  The caller raises it:
+/// drawing apart from raising lets a caller draw on one thread in a fixed order, so
+/// which job fails does not depend on how its workers are scheduled.
+pub fn injected_panic(site: &'static str) -> Option<String> {
+    match draw(site, |p| p.job_panic) {
+        Some((true, _)) => {
+            let seed = plan().map(|p| p.seed).unwrap_or(0);
+            mp_telemetry::counter("faults.panic", 1);
+            Some(format!("injected fault: panic at {site} (MP_FAULTS seed={seed})"))
+        }
+        _ => None,
     }
 }
 
@@ -348,7 +354,7 @@ pub(crate) mod tests {
         for _ in 0..16 {
             assert!(io_error("test.zero").is_none());
             assert!(torn_write("test.zero", 10).is_none());
-            maybe_panic("test.zero");
+            assert!(injected_panic("test.zero").is_none());
             maybe_delay("test.zero");
         }
         set_plan(None);
@@ -362,10 +368,8 @@ pub(crate) mod tests {
         let _guard = serial();
         let ambient = plan();
         set_plan(Some(FaultPlan { seed: 31337, job_panic: 1.0, ..FaultPlan::default() }));
-        let payload = std::panic::catch_unwind(|| maybe_panic("test.panic"))
-            .expect_err("rate 1.0 always panics");
+        let message = injected_panic("test.panic").expect("rate 1.0 always panics");
         set_plan(ambient);
-        let message = payload.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(message.contains("test.panic"), "{message}");
         assert!(message.contains("seed=31337"), "{message}");
     }

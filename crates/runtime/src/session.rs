@@ -54,17 +54,27 @@ use crate::{executor, faults, poison};
 /// kernel dedupe onto one measurement, but the same kernel measured on two backends
 /// occupies two cache entries.
 ///
-/// The key is FNV-1a-128 over one buffer: the digest (`u128`), the kernel's
+/// The key is FNV-1a-128 over one byte stream: the digest (`u128`), the kernel's
 /// [`encode_content`](mp_sim::Kernel::encode_content) bytes, then `cores` and the SMT
 /// threads per core (`u32` each), integers little-endian.  Both the encoding and the
 /// hash are fixed, so keys are stable across processes and toolchains.
 fn job_key(kernel: &Kernel, config: CmpSmtConfig, digest: u128) -> u128 {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&digest.to_le_bytes());
-    kernel.encode_content(&mut bytes);
-    bytes.extend_from_slice(&config.cores.to_le_bytes());
-    bytes.extend_from_slice(&config.smt.threads_per_core().to_le_bytes());
-    fnv1a_128(FNV1A_128_OFFSET, &bytes)
+    config_key(content_hash(kernel, digest, &mut Vec::new()), config)
+}
+
+/// The FNV-1a-128 state after the digest and the kernel's content: the prefix every
+/// job key of this kernel shares.  `buffer` is scratch space for the encoding.
+fn content_hash(kernel: &Kernel, digest: u128, buffer: &mut Vec<u8>) -> u128 {
+    buffer.clear();
+    buffer.extend_from_slice(&digest.to_le_bytes());
+    kernel.encode_content(buffer);
+    fnv1a_128(FNV1A_128_OFFSET, buffer)
+}
+
+/// Continues a [`content_hash`] with the configuration: the job key.
+fn config_key(content: u128, config: CmpSmtConfig) -> u128 {
+    let hash = fnv1a_128(content, &config.cores.to_le_bytes());
+    fnv1a_128(hash, &config.smt.threads_per_core().to_le_bytes())
 }
 
 /// One labelled measurement job of a plan.
@@ -201,7 +211,7 @@ impl SessionOptions {
 }
 
 /// One failed measurement job: the panic (real or
-/// [fault-injected](crate::faults::maybe_panic)) that killed it, captured per job so
+/// [fault-injected](crate::faults::injected_panic)) that killed it, captured per job so
 /// the rest of the batch still measures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
@@ -359,9 +369,15 @@ impl<P: Platform> ExperimentSession<P> {
     ) -> Vec<Result<Measurement, JobError>> {
         let _batch_span = mp_telemetry::span("session.measure_batch");
         let digest = self.platform.uarch().spec_digest;
-        let keys: Vec<u128> = {
+        let (contents, keys): (Vec<u128>, Vec<u128>) = {
             let _keys_span = mp_telemetry::span("session.keys");
-            jobs.iter().map(|(b, c)| job_key(b.kernel(), *c, digest)).collect()
+            let mut buffer = Vec::new();
+            jobs.iter()
+                .map(|(b, c)| {
+                    let content = content_hash(b.kernel(), digest, &mut buffer);
+                    (content, config_key(content, *c))
+                })
+                .unzip()
         };
 
         // Tier 1 — memory, probed under one lock acquisition.  Unique misses collect in
@@ -418,7 +434,7 @@ impl<P: Platform> ExperimentSession<P> {
         // Tier 3 — simulate.  Failures stay per-job and are never cached.
         let mut failures: HashMap<u128, JobError> = HashMap::new();
         if !to_measure.is_empty() {
-            let measured = self.simulate_batch(jobs, &to_measure);
+            let measured = self.simulate_batch(jobs, &contents, &to_measure);
             {
                 let mut cache = poison::lock(&self.cache);
                 for (&(key, index), result) in to_measure.iter().zip(&measured) {
@@ -466,39 +482,105 @@ impl<P: Platform> ExperimentSession<P> {
             .collect()
     }
 
-    /// Tier 3: simulates the cache-missing jobs on the executor.
-    /// Panics are caught *inside* the parallel closure, so a failing job surfaces as a
-    /// per-job `Err` while the executor never observes an unwinding task and the rest
-    /// of the batch still runs.
+    /// Tier 3: simulates the cache-missing jobs on the executor, one item per family:
+    /// the jobs of one kernel content and SMT mode, in first-appearance order, measured
+    /// by one [`Platform::run_family`] call.
+    ///
+    /// Injected panics are drawn here, one per job in `to_measure` order, so which jobs
+    /// fail depends on the fault plan alone, not on which worker claims which family.
+    /// Each drawn panic is raised inside its own job's unwind guard and fails that job
+    /// alone; the rest of its family is still measured.  A real panic inside the family
+    /// run fails each of the family's jobs with its message.  Either way the executor
+    /// never observes an unwinding task, so the rest of the batch still runs.
     fn simulate_batch(
         &self,
         jobs: &[(&MicroBenchmark, CmpSmtConfig)],
+        contents: &[u128],
         to_measure: &[(u128, usize)],
     ) -> Vec<Result<Measurement, JobError>> {
-        executor::par_map_with_workers(self.workers(), to_measure, |&(key, index)| {
-            let (benchmark, config) = jobs[index];
+        let mut families: Vec<Vec<usize>> = Vec::new();
+        let mut family_of: HashMap<(u128, u32), usize> = HashMap::new();
+        for (position, &(_, index)) in to_measure.iter().enumerate() {
+            let family = (contents[index], jobs[index].1.smt.threads_per_core());
+            let slot = *family_of.entry(family).or_insert_with(|| {
+                families.push(Vec::new());
+                families.len() - 1
+            });
+            families[slot].push(position);
+        }
+        let injected: Vec<Option<String>> =
+            to_measure.iter().map(|_| faults::injected_panic("session.job")).collect();
+
+        let measured = executor::par_map_with_workers(self.workers(), &families, |family| {
             let start = mp_telemetry::enabled().then(std::time::Instant::now);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                faults::maybe_panic("session.job");
-                self.platform.run(benchmark, config)
-            }));
-            match outcome {
-                Ok(measurement) => {
-                    if let Some(start) = start {
-                        mp_telemetry::histogram(
-                            "session.job_wall_ns",
-                            start.elapsed().as_nanos() as u64,
-                        );
-                        mp_telemetry::histogram("session.job_sim_cycles", measurement.cycles());
-                    }
-                    Ok(measurement)
-                }
-                Err(payload) => {
-                    mp_telemetry::counter("session.job_failed", 1);
-                    Err(JobError { key, message: panic_message(payload.as_ref()) })
+            let outcomes = self.measure_family(jobs, to_measure, &injected, family);
+            if let Some(start) = start {
+                mp_telemetry::histogram(
+                    "session.family_wall_ns",
+                    start.elapsed().as_nanos() as u64,
+                );
+                mp_telemetry::histogram("session.family_jobs", family.len() as u64);
+                for measurement in outcomes.iter().flatten() {
+                    mp_telemetry::histogram("session.job_sim_cycles", measurement.cycles());
                 }
             }
-        })
+            outcomes
+        });
+
+        let mut results: Vec<Option<Result<Measurement, JobError>>> = vec![None; to_measure.len()];
+        for (family, outcomes) in families.iter().zip(measured) {
+            for (&position, outcome) in family.iter().zip(outcomes) {
+                results[position] = Some(outcome);
+            }
+        }
+        results.into_iter().map(|r| r.expect("every job belongs to one family")).collect()
+    }
+
+    /// Measures one family (positions into `to_measure`) with one
+    /// [`Platform::run_family`] call over the jobs that drew no injected panic, and
+    /// returns one outcome per job of the family, in order.
+    fn measure_family(
+        &self,
+        jobs: &[(&MicroBenchmark, CmpSmtConfig)],
+        to_measure: &[(u128, usize)],
+        injected: &[Option<String>],
+        family: &[usize],
+    ) -> Vec<Result<Measurement, JobError>> {
+        let benchmark = jobs[to_measure[family[0]].1].0;
+        let configs: Vec<CmpSmtConfig> = family
+            .iter()
+            .filter(|&&position| injected[position].is_none())
+            .map(|&position| jobs[to_measure[position].1].1)
+            .collect();
+        let mut measured = if configs.is_empty() {
+            Ok(Vec::new().into_iter())
+        } else {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.platform.run_family(benchmark, &configs)
+            }))
+            .map(Vec::into_iter)
+            .map_err(|payload| panic_message(&*payload))
+        };
+        family
+            .iter()
+            .map(|&position| {
+                let outcome = match (&injected[position], &mut measured) {
+                    (Some(message), _) => {
+                        let payload = std::panic::catch_unwind(|| panic!("{message}"))
+                            .expect_err("an injected panic unwinds");
+                        Err(panic_message(&*payload))
+                    }
+                    (None, Ok(measurements)) => {
+                        Ok(measurements.next().expect("one measurement per configuration"))
+                    }
+                    (None, Err(message)) => Err(message.clone()),
+                };
+                outcome.map_err(|message| {
+                    mp_telemetry::counter("session.job_failed", 1);
+                    JobError { key: to_measure[position].0, message }
+                })
+            })
+            .collect()
     }
 
     /// Runs a plan and returns one labelled sample per job, in plan order.
@@ -915,10 +997,22 @@ mod tests {
         SimPlatform::power7_fast().uarch().spec_digest
     }
 
-    /// A platform that counts its simulator runs.
+    /// A platform that counts the measurements it produces (`runs`) and its family
+    /// runs (`families`).
     struct CountingPlatform {
         inner: SimPlatform,
         runs: AtomicUsize,
+        families: AtomicUsize,
+    }
+
+    impl CountingPlatform {
+        fn new() -> Self {
+            Self {
+                inner: SimPlatform::power7_fast(),
+                runs: AtomicUsize::new(0),
+                families: AtomicUsize::new(0),
+            }
+        }
     }
 
     impl Platform for CountingPlatform {
@@ -929,6 +1023,12 @@ mod tests {
         fn run(&self, bench: &MicroBenchmark, config: CmpSmtConfig) -> Measurement {
             self.runs.fetch_add(1, Ordering::SeqCst);
             self.inner.run(bench, config)
+        }
+
+        fn run_family(&self, bench: &MicroBenchmark, configs: &[CmpSmtConfig]) -> Vec<Measurement> {
+            self.families.fetch_add(1, Ordering::SeqCst);
+            self.runs.fetch_add(configs.len(), Ordering::SeqCst);
+            self.inner.run_family(bench, configs)
         }
 
         fn run_heterogeneous(
@@ -960,8 +1060,7 @@ mod tests {
             ExperimentSession::with_options(SimPlatform::power7_fast(), SessionOptions::default());
         let expected = serial.measure_batch(&jobs);
 
-        let platform =
-            CountingPlatform { inner: SimPlatform::power7_fast(), runs: AtomicUsize::new(0) };
+        let platform = CountingPlatform::new();
         let session = ExperimentSession::with_options(&platform, SessionOptions::default());
         std::thread::scope(|scope| {
             let submitters: Vec<_> =
@@ -981,6 +1080,100 @@ mod tests {
         assert_eq!(session.measure_batch(&jobs), expected);
         assert_eq!(session.stats().hits, stats.hits + jobs.len());
         assert_eq!(platform.runs.load(Ordering::SeqCst), runs);
+        faults::set_plan(ambient);
+    }
+
+    #[test]
+    fn one_kernel_at_several_core_counts_is_one_family_run() {
+        let _guard = crate::faults::tests::serial();
+        let ambient = faults::plan();
+        faults::set_plan(None);
+        let dir = crate::store::tests::TempDir::new("session-family");
+        let bench = tiny_benchmark("family", 9);
+        let other = tiny_benchmark("other", 10);
+        let configs = [1, 2, 4].map(|cores| CmpSmtConfig::new(cores, SmtMode::Smt2));
+        let mut jobs: Vec<(&MicroBenchmark, CmpSmtConfig)> =
+            configs.iter().map(|&config| (&bench, config)).collect();
+        // Another SMT mode and another kernel each form a family of their own.
+        jobs.push((&bench, CmpSmtConfig::new(2, SmtMode::Smt4)));
+        jobs.push((&other, CmpSmtConfig::new(2, SmtMode::Smt2)));
+        let reference: Vec<Measurement> =
+            jobs.iter().map(|(b, c)| SimPlatform::power7_fast().run(b, *c)).collect();
+
+        // Owned, and borrowed through the forwarding impl.
+        let owned = CountingPlatform::new();
+        let borrowed = CountingPlatform::new();
+        for platform in [&owned, &borrowed] {
+            let session = ExperimentSession::with_options(platform, SessionOptions::default())
+                .with_workers(2)
+                .with_store(
+                    Store::open(dir.path().join(format!("{:p}", platform)), digest_of())
+                        .expect("store opens"),
+                );
+            assert_eq!(session.measure_batch(&jobs), reference);
+            assert_eq!(platform.families.load(Ordering::SeqCst), 3, "three families");
+            assert_eq!(platform.runs.load(Ordering::SeqCst), jobs.len());
+            // Stats, memo entries and store records stay per job.
+            assert_eq!(session.stats().misses, jobs.len());
+            assert_eq!(session.store().expect("attached").stats().writes, jobs.len() as u64);
+            for (job, expected) in jobs.iter().zip(&reference) {
+                assert_eq!(&session.measure(job.0, job.1), expected);
+            }
+            assert_eq!(session.stats().hits, jobs.len(), "every job is memoized on its own");
+            assert_eq!(platform.families.load(Ordering::SeqCst), 3);
+        }
+        let by_value = ExperimentSession::new(CountingPlatform::new()).with_workers(1);
+        by_value.measure_batch(&jobs[..3]);
+        assert_eq!(by_value.platform().families.load(Ordering::SeqCst), 1);
+        faults::set_plan(ambient);
+    }
+
+    #[test]
+    fn injected_job_panics_hit_the_same_jobs_at_any_worker_count() {
+        let _guard = crate::faults::tests::serial();
+        let ambient = faults::plan();
+        let benches: Vec<MicroBenchmark> =
+            (0..4).map(|i| tiny_benchmark(&format!("w{i}"), 300 + i)).collect();
+        // Families of three core counts, so a drawn panic lands inside a family.
+        let jobs: Vec<(&MicroBenchmark, CmpSmtConfig)> = benches
+            .iter()
+            .flat_map(|b| [1, 2, 3].map(|cores| (b, CmpSmtConfig::new(cores, SmtMode::Smt1))))
+            .collect();
+        let failed_at = |workers: usize| -> Vec<usize> {
+            faults::set_plan(Some(faults::FaultPlan {
+                seed: 21,
+                job_panic: 0.3,
+                task_delay: 0.5,
+                delay_us: 300,
+                ..faults::FaultPlan::default()
+            }));
+            let session = ExperimentSession::new(SimPlatform::power7_fast()).with_workers(workers);
+            let results = session.measure_batch_resilient(&jobs);
+            faults::set_plan(None);
+            // Survivors are exact and cached, also next to a failed job of their family.
+            for (job, result) in jobs.iter().zip(&results) {
+                if let Ok(measurement) = result {
+                    assert_eq!(measurement, &SimPlatform::power7_fast().run(job.0, job.1));
+                }
+            }
+            let failed: Vec<usize> =
+                results.iter().enumerate().filter(|(_, r)| r.is_err()).map(|(i, _)| i).collect();
+            assert_eq!(session.measure_batch_resilient(&jobs).len(), jobs.len());
+            assert_eq!(session.stats().hits, jobs.len() - failed.len(), "survivors were cached");
+            failed
+        };
+        let serial = failed_at(1);
+        assert!(!serial.is_empty() && serial.len() < jobs.len(), "{serial:?}");
+        assert!(
+            (0..benches.len()).any(|family| {
+                let failed = serial.iter().filter(|&&i| i / 3 == family).count();
+                failed > 0 && failed < 3
+            }),
+            "some family keeps a survivor next to a failed job: {serial:?}"
+        );
+        for workers in [2, 8] {
+            assert_eq!(failed_at(workers), serial, "workers={workers}");
+        }
         faults::set_plan(ambient);
     }
 }

@@ -1,6 +1,7 @@
 //! The chip-level simulator: cores + uncore + power sensor sampling.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -14,6 +15,15 @@ use crate::energy::{EnergyBreakdown, EnergyTables};
 use crate::kernel::Kernel;
 use crate::measurement::{Measurement, PowerTrace};
 use crate::uncore::{UncoreMode, UncoreSim};
+
+/// One configuration's view of a family run: its energy breakdown and power sensor.
+struct Sensor {
+    breakdown: EnergyBreakdown,
+    /// The sensor-noise stream, seeded per configuration exactly as a run of its own.
+    rng: SmallRng,
+    samples: Vec<f64>,
+    window_start_energy: f64,
+}
 
 /// Options controlling a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,11 +150,28 @@ impl ChipSim {
     /// Runs `kernel` with one copy pinned to every hardware thread context of `config`,
     /// the deployment methodology of the paper (Section 3).
     pub fn run(&self, kernel: &Kernel, config: CmpSmtConfig) -> Measurement {
-        let body = {
+        self.run_family(kernel, &[config]).pop().expect("one configuration in, one measurement out")
+    }
+
+    /// Runs `kernel` on every hardware thread context of each configuration of a
+    /// family that shares one SMT mode, returning one measurement per configuration in
+    /// order.  Each measurement is bit-identical to [`run`](Self::run) on its own
+    /// configuration.  With a private uncore the configurations share their core
+    /// simulations: a core's trajectory does not depend on how many cores the chip has,
+    /// so a sweep over core counts steps at most the largest configuration's cores (one
+    /// core if the kernel never draws from the RNG), not the sum over the sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configurations differ in SMT mode, or one exceeds the chip's core
+    /// count.
+    pub fn run_family(&self, kernel: &Kernel, configs: &[CmpSmtConfig]) -> Vec<Measurement> {
+        let decoded = {
             let _span = mp_telemetry::span("sim.decode");
-            DecodedBody::decode(kernel, &self.uarch, &self.props)
+            [DecodedBody::decode(kernel, &self.uarch, &self.props)]
         };
-        self.run_bodies(vec![body; config.threads() as usize], config)
+        let threads = configs.iter().map(|c| c.threads() as usize).max().unwrap_or(0);
+        self.run_bodies(&decoded, &vec![0; threads], configs)
     }
 
     /// Runs one (possibly different) kernel per hardware thread context.
@@ -154,77 +181,105 @@ impl ChipSim {
     /// Panics if the number of kernels does not match `config.threads()`, or if the
     /// configuration exceeds the chip's core count.
     pub fn run_heterogeneous(&self, kernels: &[Kernel], config: CmpSmtConfig) -> Measurement {
-        // Decode each *distinct* kernel once; repeated kernels reuse the decoded body.
+        // Decode each *distinct* kernel once; each thread names its kernel's body.
         // Kernels are bucketed by a hash of their content encoding so a 32-thread
         // deployment does O(n) hash lookups instead of O(n²) deep `Kernel`
         // comparisons; equality inside a bucket guards against hash collisions.
         let decode_span = mp_telemetry::span("sim.decode");
-        let mut seen: Vec<(&Kernel, DecodedBody)> = Vec::new();
+        let mut seen: Vec<&Kernel> = Vec::new();
+        let mut decoded: Vec<DecodedBody> = Vec::new();
         let mut by_hash: HashMap<u128, Vec<usize>> = HashMap::new();
         let mut content = Vec::new();
-        let bodies: Vec<DecodedBody> = kernels
+        let bodies: Vec<usize> = kernels
             .iter()
             .map(|kernel| {
                 content.clear();
                 kernel.encode_content(&mut content);
                 let hash = fnv1a_128(FNV1A_128_OFFSET, &content);
                 let bucket = by_hash.entry(hash).or_default();
-                if let Some(&i) = bucket.iter().find(|&&i| seen[i].0 == kernel) {
-                    return seen[i].1.clone();
+                if let Some(&i) = bucket.iter().find(|&&i| seen[i] == kernel) {
+                    return i;
                 }
-                let body = DecodedBody::decode(kernel, &self.uarch, &self.props);
                 bucket.push(seen.len());
-                seen.push((kernel, body.clone()));
-                body
+                seen.push(kernel);
+                decoded.push(DecodedBody::decode(kernel, &self.uarch, &self.props));
+                seen.len() - 1
             })
             .collect();
         drop(decode_span);
-        self.run_bodies(bodies, config)
+        self.run_bodies(&decoded, &bodies, &[config])
+            .pop()
+            .expect("one configuration in, one measurement out")
     }
 
-    /// Runs one pre-decoded kernel body per hardware thread context.
+    /// The engine behind every run: measures a family of configurations that share one
+    /// SMT mode, where hardware thread `t` of every configuration runs
+    /// `decoded[bodies[t]]` and `bodies` covers the largest configuration.
     ///
-    /// With a private uncore, cores whose thread bodies are all equal and never draw
-    /// from their RNG (the per-core seed feeds nothing else) are the same computation:
-    /// only the first is simulated, and each measured cycle its energy log is replayed
-    /// once per core and its counters stand for every core.  Per breakdown field this
-    /// performs exactly the additions of stepping every core, so the measurement is
-    /// bit-identical.
-    fn run_bodies(&self, bodies: Vec<DecodedBody>, config: CmpSmtConfig) -> Measurement {
+    /// With a private uncore a core's whole trajectory depends only on its thread
+    /// bodies, the SMT mode and, if one of its threads draws from the RNG, its seed
+    /// `seed ^ k << 32` — not on how many cores the chip has.  So a core that draws is
+    /// simulated once per index `k`, and every other core once per distinct set of
+    /// bodies, shared by each index that runs it.  A shared uncore couples the cores:
+    /// there every core is simulated, in one run per configuration.
+    ///
+    /// Each measured cycle, every configuration adds the energy logs of its cores
+    /// `0..cores` in core order, then its static terms, then takes its sensor samples
+    /// with its own noise RNG.  Per breakdown field that is exactly the sequence of
+    /// additions of stepping each of its cores in a run of its own, so every
+    /// measurement is bit-identical to one.
+    fn run_bodies(
+        &self,
+        decoded: &[DecodedBody],
+        bodies: &[usize],
+        configs: &[CmpSmtConfig],
+    ) -> Vec<Measurement> {
         self.options.validate();
-        assert!(
-            config.cores <= self.uarch.max_cores,
-            "configuration {config} exceeds the chip's {} cores",
-            self.uarch.max_cores
-        );
-        assert_eq!(
-            bodies.len(),
-            config.threads() as usize,
-            "one kernel per hardware thread context is required"
-        );
+        let Some(smt) = configs.first().map(|c| c.smt) else { return Vec::new() };
+        let mut largest = 0;
+        for config in configs {
+            assert!(
+                config.cores <= self.uarch.max_cores,
+                "configuration {config} exceeds the chip's {} cores",
+                self.uarch.max_cores
+            );
+            assert_eq!(config.smt, smt, "the configurations of a family share one SMT mode");
+            largest = largest.max(config.threads() as usize);
+        }
+        assert_eq!(bodies.len(), largest, "one kernel per hardware thread context is required");
+        let shared = self.options.uncore_mode == UncoreMode::Shared;
+        if shared && configs.len() > 1 {
+            return configs
+                .iter()
+                .flat_map(|&config| {
+                    self.run_bodies(decoded, &bodies[..config.threads() as usize], &[config])
+                })
+                .collect();
+        }
 
-        let tpc = config.smt.threads_per_core() as usize;
-        let core0 = &bodies[..tpc];
-        let replicas = if self.options.uncore_mode == UncoreMode::Private
-            && bodies.chunks(tpc).all(|core| core == core0)
-            && !core0.iter().any(DecodedBody::draws_rng)
-        {
-            config.cores
-        } else {
-            1
-        };
-        let simulated = &bodies[..bodies.len() / replicas as usize];
-        let mut cores: Vec<CoreSim> = simulated
+        // The simulated cores, and which of them stands for each core index.
+        let tpc = smt.threads_per_core() as usize;
+        let draws: Vec<bool> = decoded.iter().map(DecodedBody::draws_rng).collect();
+        let mut distinct: Vec<(&[usize], Option<usize>)> = Vec::new();
+        let mut cores: Vec<CoreSim> = Vec::new();
+        let core_of: Vec<usize> = bodies
             .chunks(tpc)
             .enumerate()
-            .map(|(core_idx, chunk)| {
-                CoreSim::new(
+            .map(|(k, threads)| {
+                let seeded = shared || threads.iter().any(|&b| draws[b]);
+                let identity = (threads, seeded.then_some(k));
+                if let Some(slot) = distinct.iter().position(|other| *other == identity) {
+                    return slot;
+                }
+                distinct.push(identity);
+                cores.push(CoreSim::new(
                     &self.uarch,
-                    chunk.to_vec(),
+                    threads.iter().map(|&b| decoded[b].clone()).collect(),
                     self.options.prefetch_enabled,
-                    self.options.seed ^ (core_idx as u64) << 32,
+                    self.options.seed ^ (k as u64) << 32,
                     self.options.uncore_mode,
-                )
+                ));
+                cores.len() - 1
             })
             .collect();
 
@@ -241,7 +296,6 @@ impl ChipSim {
         for core in &mut cores {
             core.reset_counters();
         }
-        let mut breakdown = EnergyBreakdown::default();
 
         // Measurement window with power sensor sampling.  Telemetry only *reads*
         // clocks here — never the RNG or any simulated state — so an instrumented run
@@ -249,35 +303,43 @@ impl ChipSim {
         let telemetry = mp_telemetry::enabled();
         let cycle_span = mp_telemetry::span("sim.cycle_loop");
         let mut energy_accrual_ns = 0u64;
-        let mut rng = SmallRng::seed_from_u64(self.options.seed ^ 0x7e1e_5c0e);
-        let mut samples = Vec::new();
-        let mut window_start_energy = 0.0;
+        let mut sensors: Vec<Sensor> = configs
+            .iter()
+            .map(|_| Sensor {
+                breakdown: EnergyBreakdown::default(),
+                rng: SmallRng::seed_from_u64(self.options.seed ^ 0x7e1e_5c0e),
+                samples: Vec::new(),
+                window_start_energy: 0.0,
+            })
+            .collect();
+        let sample_cycles = self.options.sample_cycles;
         let start = self.options.warmup_cycles;
         let end = start + self.options.measure_cycles;
         for now in start..end {
             for core in &mut cores {
-                let energy = core.step(now, &tables, &mut uncore);
-                for _ in 0..replicas {
-                    energy.add_to(&mut breakdown);
-                }
+                core.step(now, &tables, &mut uncore);
             }
-            self.accrue_static(&mut breakdown, config);
-
             let elapsed = now - start + 1;
-            if elapsed.is_multiple_of(self.options.sample_cycles) || now + 1 == end {
-                let accrual_start = telemetry.then(std::time::Instant::now);
-                let window_cycles = if elapsed.is_multiple_of(self.options.sample_cycles) {
-                    self.options.sample_cycles
-                } else {
-                    elapsed % self.options.sample_cycles
-                };
-                let energy_now = breakdown.total();
-                let window_energy = energy_now - window_start_energy;
-                window_start_energy = energy_now;
-                let clean = window_energy / window_cycles as f64;
-                samples.push(self.add_noise(clean, &mut rng));
-                if let Some(t0) = accrual_start {
-                    energy_accrual_ns += t0.elapsed().as_nanos() as u64;
+            let window_cycles = if elapsed.is_multiple_of(sample_cycles) {
+                Some(sample_cycles)
+            } else {
+                (now + 1 == end).then_some(elapsed % sample_cycles)
+            };
+            for (config, sensor) in configs.iter().zip(&mut sensors) {
+                for &core in &core_of[..config.cores as usize] {
+                    cores[core].energy().add_to(&mut sensor.breakdown);
+                }
+                self.accrue_static(&mut sensor.breakdown, *config);
+                if let Some(window_cycles) = window_cycles {
+                    let accrual_start = telemetry.then(Instant::now);
+                    let energy_now = sensor.breakdown.total();
+                    let window_energy = energy_now - sensor.window_start_energy;
+                    sensor.window_start_energy = energy_now;
+                    let clean = window_energy / window_cycles as f64;
+                    sensor.samples.push(self.add_noise(clean, &mut sensor.rng));
+                    if let Some(t0) = accrual_start {
+                        energy_accrual_ns += t0.elapsed().as_nanos() as u64;
+                    }
                 }
             }
         }
@@ -285,36 +347,50 @@ impl ChipSim {
 
         let finalize_span = mp_telemetry::span("sim.finalize");
         let cycles = self.options.measure_cycles;
-        let per_thread: Vec<_> =
-            (0..replicas).flat_map(|_| cores.iter().flat_map(|c| c.counters(cycles))).collect();
-        let trace = PowerTrace::new(samples, self.options.sample_cycles);
-        let avg_power = self.add_noise(breakdown.total() / cycles as f64, &mut rng);
-        let measurement = Measurement::new(
-            config,
-            cycles,
-            per_thread,
-            avg_power,
-            trace,
-            breakdown.to_power(cycles),
-        );
+        let measurements: Vec<Measurement> = configs
+            .iter()
+            .zip(sensors)
+            .map(|(config, mut sensor)| {
+                let per_thread = core_of[..config.cores as usize]
+                    .iter()
+                    .flat_map(|&core| cores[core].counters(cycles))
+                    .collect();
+                let trace = PowerTrace::new(sensor.samples, sample_cycles);
+                let avg_power =
+                    self.add_noise(sensor.breakdown.total() / cycles as f64, &mut sensor.rng);
+                Measurement::new(
+                    *config,
+                    cycles,
+                    per_thread,
+                    avg_power,
+                    trace,
+                    sensor.breakdown.to_power(cycles),
+                )
+            })
+            .collect();
         drop(finalize_span);
 
         if telemetry {
+            let runs = configs.len() as u64;
+            let threads: u64 = configs.iter().map(|c| u64::from(c.threads())).sum();
+            let served_cores: u64 = configs.iter().map(|c| u64::from(c.cores)).sum();
             mp_telemetry::span_duration("sim.energy_accrual", energy_accrual_ns);
-            mp_telemetry::counter("sim.measurements", 1);
-            mp_telemetry::counter("sim.cycles", cycles);
-            mp_telemetry::counter("sim.warmup_cycles", self.options.warmup_cycles);
-            // Hardware-thread cycles of the measurement window: divided by the
+            mp_telemetry::counter("sim.measurements", runs);
+            mp_telemetry::counter("sim.cycles", cycles * runs);
+            mp_telemetry::counter("sim.warmup_cycles", self.options.warmup_cycles * runs);
+            // Hardware-thread cycles of the measurement windows: divided by the
             // `sim.cycle_loop` span total, the simulator's throughput.
-            mp_telemetry::counter("sim.thread_cycles", cycles * u64::from(config.threads()));
-            // Hardware-thread cycles (warm-up included) answered by replaying a core
-            // instead of simulating it.
+            mp_telemetry::counter("sim.thread_cycles", cycles * threads);
+            // Hardware-thread cycles (warm-up included) served by a core simulated for
+            // another core index or another configuration, instead of stepping one.
             mp_telemetry::counter(
                 "sim.replicated_thread_cycles",
-                (self.options.warmup_cycles + cycles) * tpc as u64 * u64::from(replicas - 1),
+                (self.options.warmup_cycles + cycles)
+                    * tpc as u64
+                    * (served_cores - cores.len() as u64),
             );
         }
-        measurement
+        measurements
     }
 
     /// Measures the workload-independent power: the sensor reading with no activity on
@@ -568,6 +644,73 @@ mod tests {
         // ...while cores that never draw from it are the same computation.
         let (a, b) = per_core(&crate::fixtures::compute_bound(isa));
         assert_eq!(a, b);
+    }
+
+    /// Asserts two measurements are equal bit for bit, field by field.
+    fn assert_bit_identical(family: &Measurement, alone: &Measurement, label: &str) {
+        assert_eq!(family.config(), alone.config(), "{label}: config");
+        assert_eq!(family.cycles(), alone.cycles(), "{label}: cycles");
+        assert_eq!(family.per_thread(), alone.per_thread(), "{label}: counters");
+        assert_eq!(
+            family.average_power().to_bits(),
+            alone.average_power().to_bits(),
+            "{label}: average power"
+        );
+        let bits = |m: &Measurement| -> Vec<u64> {
+            let gt = m.ground_truth();
+            let truth = [gt.idle, gt.uncore, gt.cmp, gt.smt, gt.dynamic_compute, gt.dynamic_memory];
+            m.trace().samples().iter().chain(&truth).map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(family.trace().cycles_per_sample(), alone.trace().cycles_per_sample());
+        assert_eq!(bits(family), bits(alone), "{label}: samples and ground truth");
+    }
+
+    #[test]
+    fn a_family_run_equals_one_run_per_configuration() {
+        let mut options = fast_sim().options().clone();
+        options.noise_fraction = 0.0025;
+        let sim = ChipSim::new(power7()).with_options(options);
+        let isa = &sim.uarch().isa;
+        let kernels = [
+            crate::fixtures::compute_bound(isa),
+            crate::fixtures::memory_bound(isa),
+            crate::fixtures::branchy(isa),
+            crate::fixtures::wide_registers(isa),
+        ];
+        for kernel in &kernels {
+            for smt in [SmtMode::Smt1, SmtMode::Smt2, SmtMode::Smt4] {
+                // Out of order, so a configuration's cores are not the family's first.
+                let configs: Vec<CmpSmtConfig> =
+                    [3, 1, 8, 2, 4].iter().map(|&cores| CmpSmtConfig::new(cores, smt)).collect();
+                let family = sim.run_family(kernel, &configs);
+                assert_eq!(family.len(), configs.len());
+                for (m, &config) in family.iter().zip(&configs) {
+                    let label = format!("{}/{}", kernel.name(), config.label());
+                    assert_bit_identical(m, &sim.run(kernel, config), &label);
+                }
+            }
+        }
+
+        // A shared uncore couples the cores: the family is one run per configuration.
+        let mut options = sim.options().clone();
+        options.uncore_mode = UncoreMode::Shared;
+        let shared = ChipSim::new(power7()).with_options(options);
+        let configs = [CmpSmtConfig::new(1, SmtMode::Smt2), CmpSmtConfig::new(4, SmtMode::Smt2)];
+        let memory = &kernels[1];
+        for (m, &config) in shared.run_family(memory, &configs).iter().zip(&configs) {
+            assert_bit_identical(m, &shared.run(memory, config), &format!("shared/{config}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share one SMT mode")]
+    fn a_family_shares_one_smt_mode() {
+        let sim = fast_sim();
+        let k = kernel_of(sim.uarch(), "add", 8);
+        let _ = sim.run_family(
+            &k,
+            &[CmpSmtConfig::new(1, SmtMode::Smt1), CmpSmtConfig::new(1, SmtMode::Smt2)],
+        );
     }
 
     #[test]

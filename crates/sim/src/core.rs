@@ -204,6 +204,11 @@ impl CoreSim {
             .collect()
     }
 
+    /// The dynamic-energy addends of the last [`step`](Self::step).
+    pub(crate) fn energy(&self) -> &CycleEnergy {
+        &self.energy
+    }
+
     /// Advances the core by one cycle, issuing instructions, and returns the cycle's
     /// dynamic-energy addends.  Memory accesses beyond the private L2 go through
     /// `uncore` (the local L3 slice in private mode, the chip-shared L3 + memory port in

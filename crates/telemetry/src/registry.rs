@@ -15,10 +15,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Number of power-of-two histogram buckets (bucket `i` holds values whose
-/// `floor(log2(v))` is `i`; zero lands in bucket 0), enough for nanosecond durations up
-/// to ~584 years.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+/// Log-linear histogram resolution: each power-of-two octave splits into
+/// `2^SUB_BUCKET_BITS` equal-width buckets.
+const SUB_BUCKET_BITS: u32 = 3;
+const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
+
+/// Number of histogram buckets: one per value below 8 (exact), then 8 per octave up to
+/// `u64::MAX` — enough for nanosecond durations up to ~584 years.
+pub const HISTOGRAM_BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BUCKET_BITS as usize) * SUB_BUCKETS;
 
 /// Global cap on buffered Chrome-trace events; beyond it events are counted as dropped
 /// instead of stored, so a long run cannot exhaust memory.
@@ -46,10 +50,11 @@ impl std::fmt::Display for Key {
     }
 }
 
-/// A power-of-two-bucket histogram with exact count/sum/min/max.
+/// A log-linear histogram (8 buckets per octave, exact below 8) with exact
+/// count/sum/min/max.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    /// `buckets[i]` counts recorded values `v` with `floor(log2(max(v,1))) == i`.
+    /// `buckets[i]` counts recorded values `v` with `bucket_of(v) == i`.
     pub buckets: Vec<u64>,
     /// Number of recorded values.
     pub count: u64,
@@ -68,9 +73,25 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Index of the bucket `value` falls into.
+    /// Index of the bucket `value` falls into: `value` itself below 8, otherwise its
+    /// octave and the three bits after its leading one.
     pub fn bucket_of(value: u64) -> usize {
-        (63 - value.max(1).leading_zeros()) as usize
+        if value < SUB_BUCKETS as u64 {
+            return value as usize;
+        }
+        let shift = 63 - value.leading_zeros() - SUB_BUCKET_BITS;
+        let sub = (value >> shift) as usize & (SUB_BUCKETS - 1);
+        SUB_BUCKETS * (1 + shift as usize) + sub
+    }
+
+    /// The largest value bucket `index` holds.
+    fn bucket_upper_bound(index: usize) -> u64 {
+        if index < SUB_BUCKETS {
+            return index as u64;
+        }
+        let shift = index / SUB_BUCKETS - 1;
+        let lower = ((SUB_BUCKETS + index % SUB_BUCKETS) as u64) << shift;
+        lower + ((1u64 << shift) - 1)
     }
 
     /// Records one value.
@@ -92,7 +113,8 @@ impl Histogram {
     }
 
     /// Upper bound of the bucket where the cumulative count first reaches
-    /// `q * count` — an upper estimate of the `q`-quantile, exact to a factor of 2.
+    /// `q * count` — an upper estimate of the `q`-quantile, less than 12.5% above it
+    /// (exact below 8).
     pub fn quantile_upper_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -103,7 +125,7 @@ impl Histogram {
             seen += n;
             if seen >= threshold {
                 // The bucket's upper bound, clamped to the observed maximum.
-                return (2u64.saturating_pow(i as u32 + 1) - 1).min(self.max);
+                return Self::bucket_upper_bound(i).min(self.max);
             }
         }
         self.max
@@ -373,15 +395,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_are_powers_of_two() {
+    fn histogram_buckets_are_log_linear() {
         assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 0);
-        assert_eq!(Histogram::bucket_of(2), 1);
-        assert_eq!(Histogram::bucket_of(3), 1);
-        assert_eq!(Histogram::bucket_of(4), 2);
-        assert_eq!(Histogram::bucket_of(1023), 9);
-        assert_eq!(Histogram::bucket_of(1024), 10);
-        assert_eq!(Histogram::bucket_of(u64::MAX), 63);
+        assert_eq!(Histogram::bucket_of(1), 1);
+        assert_eq!(Histogram::bucket_of(7), 7);
+        assert_eq!(Histogram::bucket_of(8), 8);
+        assert_eq!(Histogram::bucket_of(15), 15);
+        assert_eq!(Histogram::bucket_of(16), 16);
+        assert_eq!(Histogram::bucket_of(17), 16);
+        assert_eq!(Histogram::bucket_of(18), 17);
+        assert_eq!(Histogram::bucket_of(1023), 63);
+        assert_eq!(Histogram::bucket_of(1024), 64);
+        assert_eq!(Histogram::bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
+        for index in 0..HISTOGRAM_BUCKETS {
+            let upper = Histogram::bucket_upper_bound(index);
+            assert_eq!(Histogram::bucket_of(upper), index, "bucket {index} ends at {upper}");
+            if let Some(next) = upper.checked_add(1) {
+                assert_eq!(Histogram::bucket_of(next), index + 1, "bucket {index} is followed");
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_upper_bounds_are_within_an_eighth_of_the_value() {
+        // A sweep of values from 1 to 2^40, about 1% apart: each one's bucket bound
+        // (unclamped, since a far larger value is recorded too) is at most 12.5% above.
+        let mut value = 1u64;
+        while value <= 1 << 40 {
+            let mut h = Histogram::default();
+            h.record(value);
+            h.record(1 << 41);
+            let bound = h.quantile_upper_bound(0.5);
+            assert!(bound >= value, "bound {bound} below value {value}");
+            assert!(bound - value <= value / 8, "bound {bound} too loose for {value}");
+            if value < 8 {
+                assert_eq!(bound, value, "exact below 8");
+            }
+            value += value / 100 + 1;
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 #    delay faults {off,on} × store {none, cold, warm, faulted}.  Every report must equal
 #    e2e_bench/refs/paper_quick.txt, every warm run must be served entirely from disk,
 #    and every telemetry run must print a summary and write a loadable Chrome trace.
+# 3. `reproduce_all standard` at each worker count must equal tests/refs/paper_standard.txt
+#    (its families span five core counts; quick's span three).
 #
 # Stops at the first failure, naming the environment that produced it.  Each matrix
 # run's stdout, stderr and trace are kept in the output directory as
@@ -21,6 +23,7 @@ cd "$(dirname "$0")/.."
 WORKER_COUNTS=(1 8)
 DELAY_FAULTS="delay=0.25"
 REFERENCE=e2e_bench/refs/paper_quick.txt
+STANDARD_REFERENCE=tests/refs/paper_standard.txt
 REPORT_BIN="${CARGO_TARGET_DIR:-target}/release/reproduce_all"
 
 out="${1:-target/determinism}"
@@ -93,4 +96,14 @@ done
 done
 done
 
-echo "check_determinism: all runs passed and equal $REFERENCE" >&2
+for threads in "${WORKER_COUNTS[@]}"; do
+    name="mp$threads-standard"
+    label="MP_THREADS=$threads standard"
+    echo "== $label" >&2
+    env MP_THREADS="$threads" "$REPORT_BIN" standard >"$out/$name.txt" 2>"$out/$name.err" \
+        || fail "reproduce_all exited with status $? (stderr: $out/$name.err)"
+    sed '$d' "$out/$name.txt" | diff - "$STANDARD_REFERENCE" >&2 \
+        || fail "report differs from $STANDARD_REFERENCE (see $out/$name.txt)"
+done
+
+echo "check_determinism: all runs passed and equal $REFERENCE and $STANDARD_REFERENCE" >&2

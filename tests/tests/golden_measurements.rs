@@ -138,7 +138,7 @@ fn golden_runs() -> Vec<(String, u64)> {
     }
     // Wider chips: runs of 4 and 8 identical cores, RNG-free (compute, memory, wide)
     // and mispredicting (branchy), pin every core of a multi-core private run.
-    let replica_runs = [
+    let multi_core_runs = [
         (&kernels[0], CmpSmtConfig::new(4, SmtMode::Smt4)),
         (&kernels[0], CmpSmtConfig::new(8, SmtMode::Smt1)),
         (&kernels[1], CmpSmtConfig::new(4, SmtMode::Smt4)),
@@ -147,7 +147,7 @@ fn golden_runs() -> Vec<(String, u64)> {
         (&wide, CmpSmtConfig::new(8, SmtMode::Smt1)),
         (&kernels[2], CmpSmtConfig::new(4, SmtMode::Smt4)),
     ];
-    for (kernel, config) in replica_runs {
+    for (kernel, config) in multi_core_runs {
         let m = sim.run(kernel, config);
         let label = format!("{}/{}", kernel.name(), config.label());
         out.push((label, fingerprint_with(&m, &LEGACY_COUNTERS)));
@@ -248,6 +248,48 @@ fn measurements_match_golden_hashes() {
 #[test]
 fn shared_uncore_measurements_match_golden_hashes() {
     assert_matches_golden(&golden_shared_runs(), &GOLDEN_SHARED, "shared-mode");
+}
+
+/// The private-mode rows of one kernel on every hardware thread, re-measured through
+/// family runs: the rows are grouped by kernel and SMT mode (in table order) and each
+/// group is one `run_family` call, whose measurements must hash to the same goldens.
+fn golden_family_runs() -> Vec<(String, u64)> {
+    let sim = golden_sim();
+    let isa = &sim.uarch().isa;
+    let mut kernels = reference_kernels(isa);
+    kernels.push(wide_registers(isa));
+    let mut families: Vec<(&Kernel, Vec<CmpSmtConfig>)> = Vec::new();
+    for (label, _) in GOLDEN.iter().filter(|(label, _)| !label.starts_with("heterogeneous")) {
+        let (name, config) = label.split_once('/').expect("kernel/config label");
+        let (cores, threads) = config.split_once('-').expect("cores-threads label");
+        let config = CmpSmtConfig::new(
+            cores.parse().expect("core count"),
+            SmtMode::from_threads(threads.parse().expect("thread count")).expect("SMT mode"),
+        );
+        let kernel = kernels.iter().find(|k| k.name() == name).expect("golden kernel");
+        match families.iter_mut().find(|(k, c)| k.name() == name && c[0].smt == config.smt) {
+            Some((_, configs)) => configs.push(config),
+            None => families.push((kernel, vec![config])),
+        }
+    }
+    let mut out = Vec::new();
+    for (kernel, configs) in families {
+        for m in sim.run_family(kernel, &configs) {
+            let label = format!("{}/{}", kernel.name(), m.config().label());
+            out.push((label, fingerprint_with(&m, &LEGACY_COUNTERS)));
+        }
+    }
+    out
+}
+
+#[test]
+fn family_runs_match_golden_hashes() {
+    let family = golden_family_runs();
+    assert_eq!(family.len(), GOLDEN.len() - 2, "every row but the two heterogeneous ones");
+    for (label, hash) in &family {
+        let expected = GOLDEN.iter().find(|(l, _)| l == label).expect("golden row").1;
+        assert_eq!(*hash, expected, "{label} diverged when measured in a family");
+    }
 }
 
 #[test]

@@ -208,6 +208,27 @@ fn replicated_thread_cycles_count_the_cores_replayed_instead_of_simulated() {
 }
 
 #[test]
+fn replicated_thread_cycles_count_the_cores_shared_by_a_family() {
+    let _lock = serial();
+    let _restore = TelemetryOff;
+    mp_telemetry::set_enabled(true);
+    let sim = fast_sim();
+    let configs = [1, 2, 4].map(|cores| CmpSmtConfig::new(cores, SmtMode::Smt2));
+
+    // Mispredicting cores are distinct per index: 4 cores simulated for the 7 served.
+    sim.run_family(&branchy(&sim.uarch().isa), &configs);
+    let agg = mp_telemetry::snapshot();
+    // (300 warm-up + 900 measured cycles) × 2 threads × 3 shared cores.
+    assert_eq!(counter_total(&agg, "sim.replicated_thread_cycles"), 7_200);
+    assert_eq!(counter_total(&agg, "sim.measurements"), 3);
+    assert_eq!(counter_total(&agg, "sim.cycles"), 3 * 900);
+    assert_eq!(counter_total(&agg, "sim.warmup_cycles"), 3 * 300);
+    assert_eq!(counter_total(&agg, "sim.thread_cycles"), 900 * 2 * 7);
+    assert_eq!(agg.spans["sim.warmup"].durations.count, 1, "one engine run");
+    assert_eq!(agg.spans["sim.cycle_loop"].durations.count, 1, "one engine run");
+}
+
+#[test]
 fn enabling_telemetry_does_not_change_session_results_at_any_worker_count() {
     let _lock = serial();
     let _restore = TelemetryOff;
