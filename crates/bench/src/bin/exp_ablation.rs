@@ -85,7 +85,7 @@ fn main() {
         ("IPC only", pick(&|p| p.measured_ipc)),
         ("EPI only", pick(&|p| p.epi)),
     ];
-    let search = mp_stressmark::StressmarkSearch::new(experiments.platform())
+    let search = mp_stressmark::StressmarkSearch::with_session(experiments.session())
         .with_cores(4)
         .with_loop_instructions(96)
         .with_smt_modes(vec![mp_uarch::SmtMode::Smt4]);

@@ -15,5 +15,5 @@ pub mod runner;
 pub mod table3;
 
 pub use experiments::{ExperimentScale, Experiments};
-pub use runner::{measure_benchmarks, measurement_plan, MeasuredBenchmark};
+pub use runner::{measurement_plan, MeasuredBenchmark};
 pub use table3::{Table3, Table3Row};

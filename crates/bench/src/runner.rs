@@ -1,15 +1,13 @@
-//! Parallel measurement of benchmark populations across CMP-SMT configurations.
+//! Measurement plans for benchmark populations across CMP-SMT configurations.
 //!
-//! This is a thin wrapper over [`mp_runtime`]: populations are translated into a
-//! declarative [`ExperimentPlan`] and executed by a (possibly caller-shared, memoizing)
-//! [`ExperimentSession`] on the parallel executor.  Results come back in plan
-//! order — benchmark-major, then configuration — identical to a serial run regardless
-//! of the worker count.
+//! A population is translated into a declarative [`ExperimentPlan`], which a memoizing
+//! [`ExperimentSession`](mp_runtime::ExperimentSession) runs on the parallel executor.
+//! Results come back in plan order — benchmark-major, then configuration — identical
+//! to a serial run regardless of the worker count.
 
 use microprobe::ir::MicroBenchmark;
-use microprobe::platform::Platform;
-use mp_power::{SampleKind, WorkloadSample};
-use mp_runtime::{ExperimentPlan, ExperimentSession};
+use mp_power::SampleKind;
+use mp_runtime::ExperimentPlan;
 use mp_uarch::CmpSmtConfig;
 
 /// A benchmark queued for measurement, with the label the power models use.
@@ -43,28 +41,12 @@ pub fn measurement_plan(
     plan
 }
 
-/// Runs every `(benchmark, configuration)` pair and returns the measured workload
-/// samples together with their labels.
-///
-/// Work is spread over `parallelism` workers of the `mp_runtime` executor
-/// (the simulated platform is pure computation, so this scales with host cores).
-/// Callers that measure repeatedly should hold their own [`ExperimentSession`] instead
-/// and submit plans to it, so repeated pairs are memoized.
-pub fn measure_benchmarks<P: Platform>(
-    platform: &P,
-    benchmarks: &[MeasuredBenchmark],
-    configs: &[CmpSmtConfig],
-    parallelism: usize,
-) -> Vec<(WorkloadSample, SampleKind)> {
-    let session = ExperimentSession::new(platform).with_workers(parallelism);
-    session.run(&measurement_plan(benchmarks, configs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use microprobe::platform::SimPlatform;
     use microprobe::prelude::*;
+    use mp_runtime::ExperimentSession;
     use mp_uarch::SmtMode;
 
     fn tiny_benchmark(name: &str) -> MicroBenchmark {
@@ -76,16 +58,21 @@ mod tests {
         synth.synthesize().unwrap()
     }
 
-    #[test]
-    fn measures_every_pair_and_labels_them() {
-        let platform = SimPlatform::power7_fast();
-        let benchmarks = vec![
+    fn population() -> Vec<MeasuredBenchmark> {
+        vec![
             MeasuredBenchmark::new("a", tiny_benchmark("a"), SampleKind::MicroArch),
             MeasuredBenchmark::new("b", tiny_benchmark("b"), SampleKind::Random),
-        ];
-        let configs =
-            vec![CmpSmtConfig::new(1, SmtMode::Smt1), CmpSmtConfig::new(2, SmtMode::Smt2)];
-        let samples = measure_benchmarks(&platform, &benchmarks, &configs, 2);
+        ]
+    }
+
+    fn configs() -> Vec<CmpSmtConfig> {
+        vec![CmpSmtConfig::new(1, SmtMode::Smt1), CmpSmtConfig::new(2, SmtMode::Smt2)]
+    }
+
+    #[test]
+    fn measures_every_pair_and_labels_them() {
+        let session = ExperimentSession::new(SimPlatform::power7_fast());
+        let samples = session.run(&measurement_plan(&population(), &configs()));
         assert_eq!(samples.len(), 4);
         assert!(samples.iter().any(|(s, k)| s.name == "a" && *k == SampleKind::MicroArch));
         assert!(samples.iter().any(|(s, k)| s.name == "b" && *k == SampleKind::Random));
@@ -96,29 +83,26 @@ mod tests {
     }
 
     #[test]
-    fn results_are_benchmark_major_and_deterministic() {
-        let platform = SimPlatform::power7_fast();
-        let benchmarks = vec![
-            MeasuredBenchmark::new("a", tiny_benchmark("a"), SampleKind::MicroArch),
-            MeasuredBenchmark::new("b", tiny_benchmark("b"), SampleKind::Random),
-        ];
-        let configs =
-            vec![CmpSmtConfig::new(1, SmtMode::Smt1), CmpSmtConfig::new(2, SmtMode::Smt2)];
-        let serial = measure_benchmarks(&platform, &benchmarks, &configs, 1);
-        let names: Vec<&str> = serial.iter().map(|(s, _)| s.name.as_str()).collect();
-        assert_eq!(names, ["a", "a", "b", "b"]);
-        for workers in 2..=4 {
-            assert_eq!(
-                measure_benchmarks(&platform, &benchmarks, &configs, workers),
-                serial,
-                "workers={workers}"
-            );
+    fn measurement_plan_is_benchmark_major() {
+        let (benchmarks, configs) = (population(), configs());
+        let plan = measurement_plan(&benchmarks, &configs);
+        let pairs: Vec<(&str, CmpSmtConfig)> =
+            plan.jobs().iter().map(|job| (job.name.as_str(), job.config)).collect();
+        assert_eq!(
+            pairs,
+            [("a", configs[0]), ("a", configs[1]), ("b", configs[0]), ("b", configs[1])]
+        );
+        for job in plan.jobs() {
+            let source = benchmarks.iter().find(|mb| mb.name == job.name).unwrap();
+            assert_eq!(job.kind, source.kind);
+            assert_eq!(job.benchmark, source.benchmark);
         }
     }
 
     #[test]
     fn empty_inputs_produce_no_samples() {
-        let platform = SimPlatform::power7_fast();
-        assert!(measure_benchmarks(&platform, &[], &[], 4).is_empty());
+        let plan = measurement_plan(&[], &[]);
+        assert!(plan.is_empty());
+        assert!(ExperimentSession::new(SimPlatform::power7_fast()).run(&plan).is_empty());
     }
 }

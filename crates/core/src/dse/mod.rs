@@ -3,37 +3,22 @@
 //! Dynamic micro-benchmark properties that cannot be ensured statically (e.g. "reach a
 //! core IPC of 1.3 while only stressing the FXU", or "maximise chip power") are found by
 //! searching a design space.  MicroProbe integrates the search with the generation
-//! framework: an [`Evaluator`] typically synthesizes a candidate benchmark and runs it on
-//! a [`Platform`](crate::platform::Platform), and the search driver — [`ExhaustiveSearch`],
-//! [`GeneticSearch`] or a user-defined loop — decides which candidates to evaluate.
+//! framework: a [`BatchEvaluator`] typically synthesizes candidate benchmarks and runs
+//! them on a [`Platform`](crate::platform::Platform), and the search driver —
+//! [`ExhaustiveSearch`], [`GeneticSearch`] or a user-defined loop — decides which
+//! candidates to evaluate.
 //!
 //! The drivers hand candidates to the evaluator in **batches** (the whole enumeration, or
-//! one GA generation's offspring) through the [`BatchEvaluator`] trait, so an evaluator
-//! can fan a batch out over a thread pool or turn it into one memoized measurement plan.
-//! Scoring closures — today's [`Evaluator`]s — are batch evaluators through a blanket
-//! impl that scores the batch serially, in order ([`Serial`] adapts non-closure
-//! evaluators) — results are identical either way.
+//! one GA generation's offspring), so an evaluator can turn a batch into one memoized
+//! measurement plan — the stressmark search submits each batch to its
+//! `ExperimentSession`.  Scoring closures are batch evaluators through a blanket impl
+//! that scores the batch serially, in order.
 
 mod exhaustive;
 mod genetic;
 
 pub use exhaustive::ExhaustiveSearch;
 pub use genetic::{GeneticSearch, GenomeSpace, VecSpace};
-
-/// Scores candidate design points.  Higher scores are better.
-pub trait Evaluator<P> {
-    /// Evaluates one candidate point.
-    fn evaluate(&mut self, point: &P) -> f64;
-}
-
-impl<P, F> Evaluator<P> for F
-where
-    F: FnMut(&P) -> f64,
-{
-    fn evaluate(&mut self, point: &P) -> f64 {
-        self(point)
-    }
-}
 
 /// Scores whole batches of candidate design points.
 ///
@@ -52,30 +37,13 @@ pub trait BatchEvaluator<P> {
     fn evaluate_batch(&mut self, points: &[P]) -> Vec<f64>;
 }
 
-/// Every scoring closure — today's [`Evaluator`] closures — scores batches serially, in
-/// order.  (The impl is over `FnMut` rather than `Evaluator` so that downstream crates
-/// can implement [`BatchEvaluator`] for their own parallel backends without coherence
-/// conflicts; wrap a non-closure [`Evaluator`] in [`Serial`] instead.)
+/// Every scoring closure scores batches serially, in order.
 impl<P, F> BatchEvaluator<P> for F
 where
     F: FnMut(&P) -> f64 + ?Sized,
 {
     fn evaluate_batch(&mut self, points: &[P]) -> Vec<f64> {
         points.iter().map(self).collect()
-    }
-}
-
-/// Adapts any single-point [`Evaluator`] into a [`BatchEvaluator`] that scores batches
-/// serially, in order.
-#[derive(Debug, Clone)]
-pub struct Serial<E>(pub E);
-
-impl<P, E> BatchEvaluator<P> for Serial<E>
-where
-    E: Evaluator<P>,
-{
-    fn evaluate_batch(&mut self, points: &[P]) -> Vec<f64> {
-        points.iter().map(|p| self.0.evaluate(p)).collect()
     }
 }
 
@@ -120,14 +88,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn closures_are_evaluators() {
-        fn takes_evaluator<E: Evaluator<i32>>(mut e: E) -> f64 {
-            e.evaluate(&21)
-        }
-        assert_eq!(takes_evaluator(|x: &i32| f64::from(*x) * 2.0), 42.0);
-    }
-
-    #[test]
     fn closures_are_batch_evaluators() {
         fn takes_batch<E: BatchEvaluator<i32>>(mut e: E) -> Vec<f64> {
             e.evaluate_batch(&[1, 2, 3])
@@ -139,18 +99,6 @@ mod tests {
         });
         assert_eq!(scores, vec![2.0, 4.0, 6.0]);
         assert_eq!(calls, 3, "the blanket impl scores every point exactly once");
-    }
-
-    #[test]
-    fn serial_adapts_non_closure_evaluators() {
-        struct Doubler;
-        impl Evaluator<i32> for Doubler {
-            fn evaluate(&mut self, point: &i32) -> f64 {
-                f64::from(*point) * 2.0
-            }
-        }
-        let mut serial = Serial(Doubler);
-        assert_eq!(serial.evaluate_batch(&[1, 2, 3]), vec![2.0, 4.0, 6.0]);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The internal representation transformed by the synthesizer passes and the final
 //! micro-benchmark artifact.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -44,11 +46,6 @@ impl BenchmarkIr {
     /// Benchmark name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Renames the benchmark.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 
     /// The instruction slots.
@@ -115,15 +112,18 @@ impl BenchmarkIr {
         let kernel = Kernel::new(self.name.clone(), body)
             .with_data_profile(self.data)
             .with_mispredict_rate(self.mispredict_rate);
-        Ok(MicroBenchmark { kernel })
+        Ok(MicroBenchmark { kernel: Arc::new(kernel) })
     }
 }
 
 /// A finalised micro-benchmark: the artifact produced by the synthesizer, runnable on a
 /// [`Platform`](crate::platform::Platform) and exportable as assembly text.
+///
+/// The kernel is shared, so cloning a benchmark (into a measured population, a plan
+/// or a result row) does not copy its instruction body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MicroBenchmark {
-    kernel: Kernel,
+    kernel: Arc<Kernel>,
 }
 
 impl MicroBenchmark {

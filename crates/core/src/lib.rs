@@ -52,8 +52,7 @@ pub mod synth;
 /// Convenient re-exports of the types most generation scripts need.
 pub mod prelude {
     pub use crate::dse::{
-        BatchEvaluator, Evaluator, ExhaustiveSearch, GeneticSearch, GenomeSpace, SearchResult,
-        Serial,
+        BatchEvaluator, ExhaustiveSearch, GeneticSearch, GenomeSpace, SearchResult,
     };
     pub use crate::ir::{BenchmarkIr, MicroBenchmark};
     pub use crate::passes::{

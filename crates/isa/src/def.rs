@@ -328,11 +328,6 @@ impl InstructionDef {
         self.flags.contains(InstrFlags::VECTOR)
     }
 
-    /// Returns `true` for scalar floating point instructions.
-    pub fn is_float(&self) -> bool {
-        self.flags.contains(InstrFlags::FLOAT)
-    }
-
     /// Returns `true` for decimal floating point instructions.
     pub fn is_decimal(&self) -> bool {
         self.flags.contains(InstrFlags::DECIMAL)

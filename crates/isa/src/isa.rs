@@ -5,7 +5,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::def::{InstructionDef, IssueClass, Unit};
-use crate::flags::InstrFlags;
 
 /// Opaque identifier of an instruction definition within an [`Isa`].
 ///
@@ -160,11 +159,6 @@ impl Isa {
         self.select(|d| d.issue_class() == issue)
     }
 
-    /// All instructions whose flags contain `flags`.
-    pub fn with_flags(&self, flags: InstrFlags) -> Vec<OpcodeId> {
-        self.select(|d| d.flags().contains(flags))
-    }
-
     /// All non-memory, non-branch, unprivileged compute instructions — the population
     /// the paper samples for its "Unit Mix" and random micro-benchmarks.
     pub fn compute_instructions(&self) -> Vec<OpcodeId> {
@@ -185,6 +179,7 @@ impl<'a> IntoIterator for &'a Isa {
 mod tests {
     use super::*;
     use crate::def::{Format, LatencyClass, OperandWidth};
+    use crate::flags::InstrFlags;
     use crate::operand::OperandKind;
 
     fn tiny_isa() -> Isa {

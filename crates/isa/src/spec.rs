@@ -675,11 +675,6 @@ pub fn isa_spec_source(name: &str) -> Option<&'static str> {
     ISA_SOURCES.iter().find(|(n, _)| *n == name).map(|(_, text)| *text)
 }
 
-/// Names of the ISA specifications shipped with the workspace.
-pub fn isa_spec_names() -> Vec<&'static str> {
-    ISA_SOURCES.iter().map(|(n, _)| *n).collect()
-}
-
 /// Loads an embedded ISA specification by name, parsing it at most once per process.
 ///
 /// # Panics

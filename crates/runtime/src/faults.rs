@@ -281,7 +281,8 @@ pub(crate) mod tests {
     use super::*;
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
-    /// The injector is process-global; tests that install plans must not interleave.
+    /// The injector is process-global: tests that install plans must not interleave
+    /// with each other, nor with tests that measure through a session.
     pub(crate) fn serial() -> MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())

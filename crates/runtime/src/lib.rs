@@ -15,30 +15,25 @@
 //!    and memoizes [`Measurement`](mp_sim::Measurement)s across plan submissions, so
 //!    regenerating every figure (or running every test fixture) measures each unique
 //!    pair exactly once per process;
-//! 3. [`dse`] — a [`ParallelEvaluator`] bridging the core DSE search drivers onto the
-//!    executor, so exhaustive and genetic searches score whole candidate batches in
-//!    parallel with results identical to the serial path;
-//! 4. [`store`] — a crash-safe, content-addressed persistent measurement store
+//! 3. [`store`] — a crash-safe, content-addressed persistent measurement store
 //!    (opt-in via `MP_STORE_DIR`) that turns the session's memo cache into a second,
 //!    disk-backed tier surviving restarts, with torn/corrupt/stale records quarantined
 //!    and recomputed instead of crashing;
-//! 5. [`faults`] — deterministic, seeded fault injection (`MP_FAULTS`) that drives IO
+//! 4. [`faults`] — deterministic, seeded fault injection (`MP_FAULTS`) that drives IO
 //!    errors and torn writes into the store, panics into simulation jobs and delays
 //!    into executor tasks, so every failure path above is provable in CI.
 //!
-//! `mp_bench::measure_benchmarks`, the experiment binaries, and the slow integration
-//! tests are all thin wrappers over these layers.
+//! The experiment binaries, the stressmark search (every candidate it scores is a
+//! session job) and the slow integration tests are all thin wrappers over these layers.
 
 #![forbid(unsafe_code)]
 
-pub mod dse;
 pub mod executor;
 pub mod faults;
 mod poison;
 pub mod session;
 pub mod store;
 
-pub use dse::ParallelEvaluator;
 pub use executor::{
     default_workers, par_map_with_workers, par_map_with_workers_and_cost, CostHint, THREADS_ENV,
 };

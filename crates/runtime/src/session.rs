@@ -649,6 +649,8 @@ mod tests {
 
     #[test]
     fn repeats_are_measured_once_and_relabelled() {
+        // Another test's job-panic plan would fail these measurements.
+        let _faults = crate::faults::tests::serial();
         let session = ExperimentSession::new(SimPlatform::power7_fast()).with_workers(2);
         let bench = tiny_benchmark("t", 1);
         let config = CmpSmtConfig::new(1, SmtMode::Smt1);
@@ -698,6 +700,8 @@ mod tests {
 
     #[test]
     fn the_backend_is_part_of_the_job_key() {
+        // Another test's job-panic plan would fail these measurements.
+        let _faults = crate::faults::tests::serial();
         let p7 = ExperimentSession::new(SimPlatform::power7_fast());
         let p8 = ExperimentSession::new(SimPlatform::new(
             mp_sim::ChipSim::new(mp_uarch::power8()).with_options(mp_sim::SimOptions::fast()),
@@ -863,6 +867,8 @@ mod tests {
 
     #[test]
     fn plan_results_are_in_plan_order_for_any_worker_count() {
+        // Another test's job-panic plan would fail these measurements.
+        let _faults = crate::faults::tests::serial();
         let platform = SimPlatform::power7_fast();
         let benches: Vec<MicroBenchmark> =
             (0..4).map(|i| tiny_benchmark(&format!("b{i}"), i)).collect();
@@ -890,6 +896,8 @@ mod tests {
 
     #[test]
     fn session_bootstrap_matches_the_serial_driver() {
+        // Another test's job-panic plan would fail these measurements.
+        let _faults = crate::faults::tests::serial();
         let platform = SimPlatform::power7_fast();
         let options = BootstrapOptions {
             loop_instructions: 48,

@@ -93,11 +93,6 @@ impl SetAssocCache {
         self.sets[set].iter().any(|(t, _)| *t == tag)
     }
 
-    /// Number of resident lines (for tests and occupancy statistics).
-    pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
-
     /// Empties the cache.
     pub fn clear(&mut self) {
         for set in &mut self.sets {

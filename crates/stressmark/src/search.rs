@@ -15,7 +15,6 @@ use microprobe::ir::MicroBenchmark;
 use microprobe::prelude::*;
 use mp_isa::OpcodeId;
 use mp_runtime::{executor, ExperimentSession};
-use mp_sim::Measurement;
 use mp_uarch::{CmpSmtConfig, SmtMode};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -36,66 +35,23 @@ pub struct StressmarkResult {
     pub best_mode: SmtMode,
 }
 
-/// The measurement session a search runs on: its own, or one shared with other
-/// experiments (so candidate measurements dedupe against everything else the process
-/// has already measured).
-enum SessionHandle<'a, P: Platform> {
-    Owned(ExperimentSession<&'a P>),
-    Shared(&'a ExperimentSession<P>),
-}
-
-impl<'a, P: Platform> SessionHandle<'a, P> {
-    fn platform(&self) -> &P {
-        match self {
-            SessionHandle::Owned(session) => session.platform(),
-            SessionHandle::Shared(session) => session.platform(),
-        }
-    }
-
-    fn workers(&self) -> usize {
-        match self {
-            SessionHandle::Owned(session) => session.workers(),
-            SessionHandle::Shared(session) => session.workers(),
-        }
-    }
-
-    fn measure_batch_resilient(
-        &self,
-        jobs: &[(&MicroBenchmark, CmpSmtConfig)],
-    ) -> Vec<Result<Measurement, mp_runtime::JobError>> {
-        match self {
-            SessionHandle::Owned(session) => session.measure_batch_resilient(jobs),
-            SessionHandle::Shared(session) => session.measure_batch_resilient(jobs),
-        }
-    }
-}
-
 /// Builds candidate benchmarks from sequences and measures them on a platform.
 pub struct StressmarkSearch<'a, P: Platform> {
-    session: SessionHandle<'a, P>,
+    session: &'a ExperimentSession<P>,
     loop_instructions: usize,
     cores: u32,
     smt_modes: Vec<SmtMode>,
 }
 
 impl<'a, P: Platform> StressmarkSearch<'a, P> {
-    /// Creates a search harness that evaluates candidates on all enabled cores of the
-    /// platform, in every SMT mode the platform's machine description lists (the paper
-    /// executes each set in all available SMT modes and reports the maximum — SMT1/2/4
-    /// on POWER7, up to SMT8 on a POWER8-like backend).  The harness owns a private
-    /// memoizing session; use [`with_session`](Self::with_session) to share one.
-    pub fn new(platform: &'a P) -> Self {
-        Self::with_handle(SessionHandle::Owned(ExperimentSession::new(platform)))
-    }
-
-    /// Creates a search harness on a shared [`ExperimentSession`]: candidate
-    /// measurements are memoized in (and answered from) the session's cache, deduping
-    /// against every other experiment the session has run.
+    /// Creates a search harness on a shared [`ExperimentSession`] that evaluates
+    /// candidates on all enabled cores of the session's platform, in every SMT mode the
+    /// platform's machine description lists (the paper executes each set in all
+    /// available SMT modes and reports the maximum — SMT1/2/4 on POWER7, up to SMT8 on
+    /// a POWER8-like backend).  Candidate measurements are memoized in (and answered
+    /// from) the session's cache, deduping against every other experiment the session
+    /// has run.
     pub fn with_session(session: &'a ExperimentSession<P>) -> Self {
-        Self::with_handle(SessionHandle::Shared(session))
-    }
-
-    fn with_handle(session: SessionHandle<'a, P>) -> Self {
         let uarch = session.platform().uarch();
         let cores = uarch.max_cores;
         // The machine description says which SMT modes exist — a POWER8-like backend
@@ -400,30 +356,34 @@ mod tests {
     use crate::sets;
     use microprobe::platform::SimPlatform;
 
-    fn search(platform: &SimPlatform) -> StressmarkSearch<'_, SimPlatform> {
-        StressmarkSearch::new(platform)
+    fn session() -> ExperimentSession<SimPlatform> {
+        ExperimentSession::new(SimPlatform::power7_fast())
+    }
+
+    fn search(session: &ExperimentSession<SimPlatform>) -> StressmarkSearch<'_, SimPlatform> {
+        StressmarkSearch::with_session(session)
             .with_loop_instructions(48)
             .with_smt_modes(vec![SmtMode::Smt1])
     }
 
     #[test]
     fn default_smt_modes_come_from_the_machine_description() {
-        let p7 = SimPlatform::power7_fast();
-        assert_eq!(StressmarkSearch::new(&p7).smt_modes, p7.uarch().smt_modes);
+        let p7 = session();
+        assert_eq!(StressmarkSearch::with_session(&p7).smt_modes, p7.platform().uarch().smt_modes);
 
-        let p8 = SimPlatform::new(
+        let p8 = ExperimentSession::new(SimPlatform::new(
             mp_sim::ChipSim::new(mp_uarch::power8()).with_options(mp_sim::SimOptions::fast()),
-        );
-        let s8 = StressmarkSearch::new(&p8);
-        assert_eq!(s8.smt_modes, p8.uarch().smt_modes);
+        ));
+        let s8 = StressmarkSearch::with_session(&p8);
+        assert_eq!(s8.smt_modes, p8.platform().uarch().smt_modes);
         assert!(s8.smt_modes.contains(&SmtMode::Smt8), "POWER8-like backends search SMT8");
     }
 
     #[test]
     fn candidate_benchmarks_replicate_the_sequence() {
-        let platform = SimPlatform::power7_fast();
-        let s = search(&platform);
-        let arch = platform.uarch();
+        let session = session();
+        let s = search(&session);
+        let arch = s.platform().uarch();
         let seq = sets::expert_manual_set(arch)[0].clone();
         let bench = s.build(&seq).unwrap();
         assert_eq!(bench.kernel().len(), 48);
@@ -434,12 +394,12 @@ mod tests {
 
     #[test]
     fn evaluation_reports_power_and_mode() {
-        let platform = SimPlatform::power7_fast();
-        let s = search(&platform);
-        let arch = platform.uarch();
+        let session = session();
+        let s = search(&session);
+        let arch = s.platform().uarch();
         let seq = sets::expert_manual_set(arch)[0].clone();
         let result = s.evaluate(&seq).unwrap();
-        assert!(result.power > platform.idle_power());
+        assert!(result.power > s.platform().idle_power());
         assert!(result.ipc > 0.0);
         assert_eq!(result.sequence.len(), sets::SEQUENCE_LENGTH);
         assert_eq!(result.best_mode, SmtMode::Smt1);
@@ -447,9 +407,9 @@ mod tests {
 
     #[test]
     fn evaluate_set_matches_per_candidate_evaluation() {
-        let platform = SimPlatform::power7_fast();
-        let s = search(&platform);
-        let arch = platform.uarch();
+        let session = session();
+        let s = search(&session);
+        let arch = s.platform().uarch();
         let mut candidates = sets::expert_manual_set(arch);
         candidates.truncate(3);
         // A duplicate exercises the build/measurement dedup path.
@@ -464,9 +424,9 @@ mod tests {
 
     #[test]
     fn exhaustive_search_finds_at_least_as_good_a_candidate_as_the_first() {
-        let platform = SimPlatform::power7_fast();
-        let s = search(&platform);
-        let arch = platform.uarch();
+        let session = session();
+        let s = search(&session);
+        let arch = s.platform().uarch();
         let candidates: Vec<_> = sets::expert_manual_set(arch);
         let first_power = s.evaluate(&candidates[0]).unwrap().power;
         let result = s.exhaustive(candidates, Some(5));
@@ -477,9 +437,9 @@ mod tests {
 
     #[test]
     fn genetic_search_stays_inside_the_pool_and_reports_no_failures() {
-        let platform = SimPlatform::power7_fast();
-        let s = search(&platform);
-        let arch = platform.uarch();
+        let session = session();
+        let s = search(&session);
+        let arch = s.platform().uarch();
         let pool = sets::expert_instructions(arch);
         let driver = GeneticSearch::new(4, 2).with_seed(9);
         let result = s.genetic(&driver, &pool);
@@ -487,16 +447,13 @@ mod tests {
         assert_eq!(result.failures, 0);
         assert_eq!(result.best.len(), sets::SEQUENCE_LENGTH);
         assert!(result.best.iter().all(|op| pool.contains(op)));
-        assert!(result.best_score > platform.idle_power());
+        assert!(result.best_score > s.platform().idle_power());
     }
 
     #[test]
     fn searches_on_a_shared_session_reuse_its_measurements() {
-        let platform = SimPlatform::power7_fast();
-        let session = ExperimentSession::new(platform);
-        let s = StressmarkSearch::with_session(&session)
-            .with_loop_instructions(48)
-            .with_smt_modes(vec![SmtMode::Smt1]);
+        let session = session();
+        let s = search(&session);
         let arch = s.platform().uarch();
         let candidates = sets::expert_manual_set(arch);
 

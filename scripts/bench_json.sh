@@ -18,7 +18,7 @@
 #
 # Extra cargo args *replace* the default `--workspace` (cargo rejects mixing
 # `--workspace` with `-p`), so a subset run is e.g.
-# `scripts/bench_json.sh artifacts -p mp-bench --bench runtime --bench dse`.
+# `scripts/bench_json.sh artifacts -p mp-bench --bench runtime`.
 #
 # Examples:
 #   scripts/bench_json.sh                      # all bench targets -> ./BENCH_<rev>.json

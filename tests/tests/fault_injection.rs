@@ -218,9 +218,12 @@ fn stressmark_search_quarantines_panicking_candidates_and_keeps_ranking() {
         all.truncate(6);
         all
     };
+    // Each search gets its own session: a shared one would answer the faulted run from
+    // the clean run's memo and never reach the injected panics.
     let clean = {
         let _off = pin_faults(None);
-        let search = StressmarkSearch::new(&platform).with_loop_instructions(48);
+        let session = ExperimentSession::new(&platform);
+        let search = StressmarkSearch::with_session(&session).with_loop_instructions(48);
         search.exhaustive(candidates(), None)
     };
     assert_eq!(clean.failures, 0, "the fault-free run builds and measures everything");
@@ -228,7 +231,8 @@ fn stressmark_search_quarantines_panicking_candidates_and_keeps_ranking() {
     let _faults = pin_faults(Some(FaultPlan { seed: 11, job_panic: 0.25, ..FaultPlan::default() }));
     // Under injected panics the search must finish — failed candidates quarantine to
     // the −inf convention — and still produce a winner from the survivors.
-    let search = StressmarkSearch::new(&platform).with_loop_instructions(48);
+    let session = ExperimentSession::new(&platform);
+    let search = StressmarkSearch::with_session(&session).with_loop_instructions(48);
     let result = search.exhaustive(candidates(), None);
     assert_eq!(result.evaluations, clean.evaluations, "every candidate is still visited");
     assert!(result.failures > 0, "seed 11 at panic=0.25 quarantines at least one candidate");
