@@ -248,17 +248,27 @@ impl Experiments {
 
     // ----------------------------------------------------------------- shared studies
 
+    /// Generates the training suite that Table 2 summarises and the models train on.
+    fn training_suite(&self) -> TrainingSuite {
+        let _span = mp_telemetry::span("exp.training_suite");
+        TrainingSuite::generate(
+            self.platform().uarch(),
+            TrainingOptions::reduced(self.scale.training_scale(), self.scale.loop_instructions()),
+        )
+        .expect("training suite generation is infallible for the built-in families")
+    }
+
     /// Generates and measures everything the power-model figures need, and trains the
     /// four models.
     pub fn model_study(&self) -> ModelStudy {
+        self.model_study_of(&self.training_suite())
+    }
+
+    /// [`Self::model_study`] over an already generated training suite.
+    fn model_study_of(&self, suite: &TrainingSuite) -> ModelStudy {
         let _span = mp_telemetry::span("exp.model_study");
         let arch = self.platform().uarch().clone();
         let loop_len = self.scale.loop_instructions();
-        let suite = TrainingSuite::generate(
-            &arch,
-            TrainingOptions::reduced(self.scale.training_scale(), loop_len),
-        )
-        .expect("training suite generation is infallible for the built-in families");
 
         // Micro-architecture aware benchmarks are only needed on the single-core
         // configurations (methodology steps 1 and 2); random benchmarks run everywhere.
@@ -458,13 +468,12 @@ impl Experiments {
 
     /// Table 2: the generated training suite summary.
     pub fn table2(&self) -> String {
+        Self::table2_of(&self.training_suite())
+    }
+
+    /// [`Self::table2`] over an already generated training suite.
+    fn table2_of(suite: &TrainingSuite) -> String {
         let _span = mp_telemetry::span("exp.table2");
-        let arch = self.platform().uarch().clone();
-        let suite = TrainingSuite::generate(
-            &arch,
-            TrainingOptions::reduced(self.scale.training_scale(), self.scale.loop_instructions()),
-        )
-        .expect("training suite generates");
         let mut out = String::new();
         let _ = writeln!(out, "# Table 2 — automatically generated training micro-benchmarks");
         let _ = writeln!(
@@ -689,9 +698,12 @@ impl Experiments {
     pub fn run_all(&self) -> String {
         let _span = mp_telemetry::span("exp.run_all");
         let mut out = String::new();
-        out.push_str(&self.table2());
+        let suite = self.training_suite();
+        out.push_str(&Self::table2_of(&suite));
         out.push('\n');
-        let model_study = self.model_study();
+        let model_study = self.model_study_of(&suite);
+        // At full scale the suite's kernels are large; free them before the other studies.
+        drop(suite);
         out.push_str(&self.fig5a(&model_study));
         out.push('\n');
         out.push_str(&self.fig5b(&model_study));

@@ -1,12 +1,10 @@
-//! Exports: human summary, JSON lines, and Chrome trace-event JSON.
+//! Exports: human summary and Chrome trace-event JSON.
 //!
-//! Three views of one [`Aggregate`](crate::registry::Aggregate):
+//! Two views of one [`Aggregate`](crate::registry::Aggregate):
 //!
 //! * [`summary`] — the `# Telemetry` block every experiment binary prints to **stderr**
 //!   (stderr so figure stdout stays byte-identical across worker counts while the
 //!   telemetry — steal counts, wall times — legitimately varies);
-//! * [`write_json_lines`] — one JSON object per metric, appended to a file
-//!   (the `MP_BENCH_JSON` precedent: machine-readable, trivially greppable);
 //! * [`chrome_trace_json`] — the Chrome trace-event array format; load the file in
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` to see the spans on a
 //!   per-thread timeline.
@@ -14,10 +12,7 @@
 use std::fmt::Write as _;
 use std::io::Write as _;
 
-use crate::registry::{Aggregate, GaugeStat, Histogram, Key};
-
-/// Environment variable naming the JSON-lines output file.
-pub const JSON_ENV: &str = "MP_TELEMETRY_JSON";
+use crate::registry::{Aggregate, Key};
 
 /// Environment variable naming the Chrome-trace output file.
 pub const TRACE_ENV: &str = "MP_TELEMETRY_TRACE";
@@ -142,69 +137,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn hist_json(h: &Histogram) -> String {
-    format!(
-        "{{\"count\":{},\"sum\":{},\"mean\":{:.3},\"min\":{},\"max\":{},\"p50_ub\":{},\"p90_ub\":{}}}",
-        h.count,
-        h.sum,
-        h.mean(),
-        if h.count == 0 { 0 } else { h.min },
-        h.max,
-        h.quantile_upper_bound(0.5),
-        h.quantile_upper_bound(0.9)
-    )
-}
-
-fn gauge_json(g: &GaugeStat) -> String {
-    format!(
-        "{{\"last\":{:.6},\"min\":{:.6},\"max\":{:.6},\"sets\":{}}}",
-        g.last, g.min, g.max, g.count
-    )
-}
-
-/// Writes one JSON object per metric (JSON lines) to `out`.
-///
-/// Each line carries a `kind` (`counter` / `gauge` / `span` / `histogram`), the metric
-/// `name` (indexed series formatted as `name[i]`), and the kind-specific payload.
-///
-/// # Errors
-///
-/// Propagates I/O errors of `out`.
-pub fn write_json_lines(agg: &Aggregate, out: &mut dyn std::io::Write) -> std::io::Result<()> {
-    for (key, value) in &agg.counters {
-        writeln!(
-            out,
-            "{{\"kind\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-            json_escape(&key.to_string())
-        )?;
-    }
-    for (key, gauge) in &agg.gauges {
-        writeln!(
-            out,
-            "{{\"kind\":\"gauge\",\"name\":\"{}\",\"gauge\":{}}}",
-            json_escape(&key.to_string()),
-            gauge_json(gauge)
-        )?;
-    }
-    for (name, span) in &agg.spans {
-        writeln!(
-            out,
-            "{{\"kind\":\"span\",\"name\":\"{}\",\"durations_ns\":{}}}",
-            json_escape(name),
-            hist_json(&span.durations)
-        )?;
-    }
-    for (key, hist) in &agg.histograms {
-        writeln!(
-            out,
-            "{{\"kind\":\"histogram\",\"name\":\"{}\",\"values\":{}}}",
-            json_escape(&key.to_string()),
-            hist_json(hist)
-        )?;
-    }
-    Ok(())
-}
-
 /// Renders the Chrome trace-event JSON document (the array format Perfetto and
 /// `chrome://tracing` both load).
 ///
@@ -251,8 +183,8 @@ pub fn chrome_trace_json(agg: &Aggregate) -> String {
 }
 
 /// End-of-process reporting for binaries: when telemetry is enabled, prints the
-/// [`summary`] to stderr and honours the [`JSON_ENV`] (append JSON lines) and
-/// [`TRACE_ENV`] (write Chrome trace) output files.  A no-op when disabled, so every
+/// [`summary`] to stderr and writes the Chrome trace to the file named by
+/// [`TRACE_ENV`].  A no-op when disabled, so every
 /// binary can call it unconditionally.
 pub fn report() {
     if !crate::enabled() {
@@ -260,18 +192,6 @@ pub fn report() {
     }
     let agg = crate::registry::snapshot();
     eprint!("{}", summary(&agg));
-    if let Ok(path) = std::env::var(JSON_ENV) {
-        if !path.is_empty() {
-            match std::fs::OpenOptions::new().create(true).append(true).open(&path) {
-                Ok(mut file) => {
-                    if let Err(err) = write_json_lines(&agg, &mut file) {
-                        eprintln!("# Telemetry: failed writing JSON lines to {path}: {err}");
-                    }
-                }
-                Err(err) => eprintln!("# Telemetry: cannot open {path}: {err}"),
-            }
-        }
-    }
     if let Ok(path) = std::env::var(TRACE_ENV) {
         if !path.is_empty() {
             if let Err(err) = std::fs::write(&path, chrome_trace_json(&agg)) {
@@ -285,7 +205,7 @@ pub fn report() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{SpanStat, TraceEvent};
+    use crate::registry::{GaugeStat, Histogram, SpanStat, TraceEvent};
 
     fn sample_aggregate() -> Aggregate {
         let mut agg = Aggregate::default();
@@ -320,19 +240,6 @@ mod tests {
         assert!(text.contains("counter session.hit = 7"), "{text}");
         assert!(text.contains("span sim.cycle_loop — 2 calls"), "{text}");
         assert!(text.lines().all(|l| l.starts_with('#')), "all lines #-prefixed: {text}");
-    }
-
-    #[test]
-    fn json_lines_are_one_valid_object_per_metric() {
-        let mut buf = Vec::new();
-        write_json_lines(&sample_aggregate(), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 6, "{text}");
-        for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains("\"kind\":"), "{line}");
-        }
-        assert!(text.contains("\"name\":\"executor.steal[1]\",\"value\":5"), "{text}");
     }
 
     #[test]

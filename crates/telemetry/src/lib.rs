@@ -13,12 +13,10 @@
 //! * **Thread-local collection.**  Records land in an unsynchronised thread-local
 //!   buffer and are aggregated at flush points, so the enabled hot path takes no lock.
 //!
-//! Enable with `MP_TELEMETRY=1` (or [`set_enabled`] in tests/benches).  Export three
-//! ways: [`summary`]/[`report`] (the `# Telemetry` block on stderr),
-//! [`write_json_lines`] / `MP_TELEMETRY_JSON` (machine-readable JSON lines, the
-//! `MP_BENCH_JSON` precedent), and [`chrome_trace_json`] / `MP_TELEMETRY_TRACE`
-//! (Chrome trace-event format — open the file in Perfetto to see every span on a
-//! per-thread timeline).
+//! Enable with `MP_TELEMETRY=1` (or [`set_enabled`] in tests/benches).  Export two
+//! ways: [`summary`]/[`report`] (the `# Telemetry` block on stderr), and
+//! [`chrome_trace_json`] / `MP_TELEMETRY_TRACE` (Chrome trace-event format — open the
+//! file in Perfetto to see every span on a per-thread timeline).
 //!
 //! # Examples
 //!
@@ -41,7 +39,7 @@ use std::time::Instant;
 pub mod export;
 pub mod registry;
 
-pub use export::{chrome_trace_json, report, summary, write_json_lines, JSON_ENV, TRACE_ENV};
+pub use export::{chrome_trace_json, report, summary, TRACE_ENV};
 pub use registry::{flush, snapshot, Aggregate, GaugeStat, Histogram, Key, SpanStat, TraceEvent};
 
 /// Environment variable gating collection: truthy values (`1`, `true`, `on`, `yes`)

@@ -6,7 +6,7 @@
 //! *calling* thread first).  The hot path therefore never takes the global lock except
 //! at those rare drain points.
 //!
-//! All aggregate maps are `BTreeMap`s so every export (summary, JSON lines, Chrome
+//! All aggregate maps are `BTreeMap`s so every export (summary, Chrome
 //! trace) iterates metrics in a stable name order.
 
 use std::cell::RefCell;
