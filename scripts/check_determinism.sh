@@ -10,6 +10,9 @@
 #    and every telemetry run must print a summary and write a loadable Chrome trace.
 # 3. `reproduce_all standard` at each worker count must equal tests/refs/paper_standard.txt
 #    (its families span five core counts; quick's span three).
+# 4. One `reproduce_all full` run at the default worker count must equal
+#    tests/refs/paper_full.txt (the only scale whose Table 2 matches the paper; about a
+#    minute and 320 MB on a 2-CPU host).
 #
 # Stops at the first failure, naming the environment that produced it.  Each matrix
 # run's stdout, stderr and trace are kept in the output directory as
@@ -24,6 +27,7 @@ WORKER_COUNTS=(1 8)
 DELAY_FAULTS="delay=0.25"
 REFERENCE=e2e_bench/refs/paper_quick.txt
 STANDARD_REFERENCE=tests/refs/paper_standard.txt
+FULL_REFERENCE=tests/refs/paper_full.txt
 REPORT_BIN="${CARGO_TARGET_DIR:-target}/release/reproduce_all"
 
 out="${1:-target/determinism}"
@@ -106,4 +110,12 @@ for threads in "${WORKER_COUNTS[@]}"; do
         || fail "report differs from $STANDARD_REFERENCE (see $out/$name.txt)"
 done
 
-echo "check_determinism: all runs passed and equal $REFERENCE and $STANDARD_REFERENCE" >&2
+label="full"
+echo "== $label" >&2
+"$REPORT_BIN" full >"$out/full.txt" 2>"$out/full.err" \
+    || fail "reproduce_all exited with status $? (stderr: $out/full.err)"
+sed '$d' "$out/full.txt" | diff - "$FULL_REFERENCE" >&2 \
+    || fail "report differs from $FULL_REFERENCE (see $out/full.txt)"
+
+echo "check_determinism: all runs passed and equal $REFERENCE, $STANDARD_REFERENCE and" \
+    "$FULL_REFERENCE" >&2
