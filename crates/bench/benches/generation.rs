@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use microprobe::prelude::*;
 use mp_cache::AccessPlanner;
-use mp_uarch::MemoryHierarchy;
 
 fn bench_synthesizer(c: &mut Criterion) {
     let mut group = c.benchmark_group("synthesizer");
@@ -29,7 +28,7 @@ fn bench_synthesizer(c: &mut Criterion) {
 }
 
 fn bench_cache_planner(c: &mut Criterion) {
-    let hierarchy = MemoryHierarchy::power7();
+    let hierarchy = mp_uarch::power7().hierarchy;
     let planner = AccessPlanner::new(&hierarchy);
     let dist = HitDistribution::caches_balanced();
     let mut group = c.benchmark_group("analytical_cache_model");

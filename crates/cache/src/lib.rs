@@ -18,10 +18,9 @@
 //!
 //! ```
 //! use mp_cache::{AccessPlanner, HitDistribution};
-//! use mp_uarch::MemoryHierarchy;
 //!
 //! # fn main() -> Result<(), mp_cache::DistributionError> {
-//! let hierarchy = MemoryHierarchy::power7();
+//! let hierarchy = mp_uarch::power7().hierarchy;
 //! // A third of the accesses hit each cache level, as in the paper's Figure 2 example.
 //! let dist = HitDistribution::new(0.33, 0.33, 0.34, 0.0)?;
 //! let plan = AccessPlanner::new(&hierarchy).plan(&dist, 1024, 0, 42);

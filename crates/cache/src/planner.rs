@@ -186,7 +186,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     fn hierarchy() -> MemoryHierarchy {
-        MemoryHierarchy::power7()
+        mp_uarch::power7().hierarchy
     }
 
     #[test]
@@ -334,7 +334,7 @@ mod proptests {
             prop_assume!(total > 1e-6);
             let dist = HitDistribution::new(l1 / total, l2 / total, l3 / total, mem / total)
                 .expect("normalised distribution is valid");
-            let h = MemoryHierarchy::power7();
+            let h = mp_uarch::power7().hierarchy;
             let plan = AccessPlanner::new(&h).plan(&dist, n, thread, seed);
             prop_assert_eq!(plan.len(), n);
             // Per-level counts match the largest-remainder split of the distribution.

@@ -1,12 +1,9 @@
 //! The Power ISA v2.06B subset definition used throughout the reproduction.
 //!
 //! The paper transcribes the Power ISA v2.06B manual into readable text files consumed by
-//! MicroProbe.  This reproduction now does the same: the authoritative definition is the
-//! declarative data file `specs/power7.isa`, parsed by [`crate::spec`].  [`power_isa_v206b`]
-//! is the stable entry point the rest of the workspace uses; it loads (and caches) the
-//! spec file.  The historical hand-coded Rust table survives only as the test-only
-//! comparison shim in `power_isa_handcoded`, which the round-trip tests check against
-//! the spec-loaded ISA definition by definition.
+//! MicroProbe.  This reproduction does the same: the definition is the declarative data
+//! file `specs/power7.isa`, parsed by [`crate::spec`].  [`power_isa_v206b`] is the entry
+//! point the rest of the workspace uses; it loads (and caches) the spec file.
 //!
 //! The subset covers every instruction class the POWER7 evaluation exercises — fixed
 //! point arithmetic and logic, fixed point and floating point loads/stores (D, DS, X,
@@ -23,7 +20,7 @@ use crate::isa::Isa;
 /// the classes exercised in the paper.  The spec file is parsed once per process and
 /// cached; the function clones the cached registry, which is cheap enough to call freely.
 pub fn power_isa_v206b() -> Isa {
-    crate::spec::power7_isa()
+    crate::spec::load_isa("power7").expect("power7 ISA spec is embedded")
 }
 
 #[cfg(test)]

@@ -323,7 +323,7 @@ mod tests {
     use super::*;
 
     fn hierarchy() -> MemoryHierarchy {
-        MemoryHierarchy::power7()
+        mp_uarch::power7().hierarchy
     }
 
     #[test]
@@ -409,7 +409,7 @@ mod tests {
     fn shared_path_serves_l2_misses_from_the_shared_l3() {
         use crate::uncore::{UncoreMode, UncoreSim};
         let uarch = mp_uarch::power7();
-        let params = EnergyParams::power7();
+        let params = mp_uarch::power7().energy;
         let mut a = CoreCaches::new(&uarch.hierarchy, false);
         let mut b = CoreCaches::new(&uarch.hierarchy, false);
         let mut uncore = UncoreSim::new(&uarch, UncoreMode::Shared);
@@ -430,7 +430,7 @@ mod tests {
     fn admission_probe_is_read_only_and_gates_on_the_queue() {
         use crate::uncore::{UncoreMode, UncoreSim};
         let uarch = mp_uarch::power7();
-        let params = EnergyParams::power7();
+        let params = mp_uarch::power7().energy;
         let mut c = CoreCaches::new(&uarch.hierarchy, false);
         let mut uncore = UncoreSim::new(&uarch, UncoreMode::Shared);
         // Resident lines are always admitted.

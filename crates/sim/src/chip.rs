@@ -429,7 +429,6 @@ impl ChipSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::energy::EnergyParams;
     use mp_isa::{Instruction, Operand, RegRef};
     use mp_uarch::{power7, SmtMode};
 
@@ -501,7 +500,7 @@ mod tests {
     fn idle_power_is_the_workload_independent_component() {
         let sim = fast_sim();
         let idle = sim.measure_idle();
-        assert!((idle - EnergyParams::power7().idle_power).abs() < 1.0);
+        assert!((idle - power7().energy.idle_power).abs() < 1.0);
     }
 
     #[test]

@@ -447,7 +447,7 @@ impl CoreSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::energy::{EnergyBreakdown, EnergyParams};
+    use crate::energy::EnergyBreakdown;
     use mp_isa::{Instruction, Isa, Operand, RegRef};
     use mp_uarch::power7;
 
@@ -479,7 +479,7 @@ mod tests {
         let mut core =
             CoreSim::new(uarch, decode_all(uarch, &[kernel]), false, 1, UncoreMode::Private);
         let mut uncore = UncoreSim::new(uarch, UncoreMode::Private);
-        let params = EnergyParams::power7();
+        let params = power7().energy;
         let tables = EnergyTables::new(&params);
         // Warm up then measure.
         for now in 0..1000u64 {
@@ -564,7 +564,7 @@ mod tests {
         let body: Vec<Instruction> =
             (0..64).map(|i| rrr(isa, "subf", (i % 8) as u16, 10, 11)).collect();
         let kernel = Kernel::new("subf", body);
-        let params = EnergyParams::power7();
+        let params = power7().energy;
         let tables = EnergyTables::new(&params);
 
         let ipc_for = |n: usize| {

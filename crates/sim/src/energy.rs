@@ -192,14 +192,14 @@ mod tests {
 
     #[test]
     fn reexported_params_expose_the_power7_set() {
-        let p = EnergyParams::power7();
+        let p = mp_uarch::power7().energy;
         assert!(p.access_energy(MemLevel::L1) < p.access_energy(MemLevel::Mem));
         assert!((p.idle_power - 100.0).abs() < 1e-12);
     }
 
     #[test]
     fn tables_reproduce_instruction_energy_bit_for_bit() {
-        let mut params = EnergyParams::power7();
+        let mut params = mp_uarch::power7().energy;
         // Awkward scales make any reassociation visible in the last bits.
         params.complexity_scale = 1.0 / 3.0;
         params.switching_scale = 0.1 + 0.2;

@@ -256,8 +256,8 @@ mod tests {
     #[test]
     fn contenders_share_sets_with_disjoint_tags() {
         let isa = power_isa_v206b();
-        let geom = mp_uarch::UncoreGeometry::power7().shared_l3;
-        let hierarchy = mp_uarch::MemoryHierarchy::power7();
+        let geom = mp_uarch::power7().uncore.shared_l3;
+        let hierarchy = mp_uarch::power7().hierarchy;
         let (a, b) = uncore_contention_pair(&isa);
         assert_eq!(a.len(), CONTENDER_SETS * CONTENDER_TAGS);
         let addresses = |k: &Kernel| -> Vec<u64> {
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn mem_chain_is_dependent_and_misses_everywhere() {
         let isa = power_isa_v206b();
-        let geom = mp_uarch::UncoreGeometry::power7().shared_l3;
+        let geom = mp_uarch::power7().uncore.shared_l3;
         let kernel = uncore_mem_chain(&isa);
         let mut per_set: std::collections::HashMap<u64, Vec<u64>> =
             std::collections::HashMap::new();
@@ -302,7 +302,7 @@ mod tests {
     #[test]
     fn prefetch_stream_misses_every_level() {
         let isa = power_isa_v206b();
-        let geom = mp_uarch::UncoreGeometry::power7().shared_l3;
+        let geom = mp_uarch::power7().uncore.shared_l3;
         let kernel = uncore_prefetch_stream(&isa);
         let mut per_set: std::collections::HashMap<u64, Vec<u64>> =
             std::collections::HashMap::new();

@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn repeated_access_hits_the_shared_l3() {
         let mut u = shared_uncore();
-        let p = EnergyParams::power7();
+        let p = power7().energy;
         let miss = u.access(0x4000, 0, &p);
         assert_eq!(miss.level, MemLevel::Mem);
         assert!((miss.energy - (p.uncore_l3_energy + p.uncore_mem_energy)).abs() < 1e-12);
@@ -192,7 +192,7 @@ mod tests {
     fn memory_port_queues_back_to_back_misses() {
         let uarch = power7();
         let mut u = UncoreSim::new(&uarch, UncoreMode::Shared);
-        let p = EnergyParams::power7();
+        let p = power7().energy;
         let base = uarch.hierarchy.mem_latency_cycles;
         // Distinct lines far apart: every access misses the L3 and takes the port.
         let first = u.access(0, 0, &p);
@@ -212,7 +212,7 @@ mod tests {
     fn admission_control_limits_the_queue() {
         let uarch = power7();
         let mut u = UncoreSim::new(&uarch, UncoreMode::Shared);
-        let p = EnergyParams::power7();
+        let p = power7().energy;
         for i in 0..u64::from(uarch.uncore.mem_queue_depth) {
             assert!(u.can_accept(0), "transfer {i} should be admitted");
             let _ = u.access(i << 30, 0, &p);
@@ -226,7 +226,7 @@ mod tests {
     fn prefetch_fill_makes_lines_resident_and_charges_the_port() {
         let uarch = power7();
         let mut u = shared_uncore();
-        let p = EnergyParams::power7();
+        let p = power7().energy;
         let energy = u.prefetch_fill(0x8000, 0, &p).expect("empty queue admits the prefetch");
         assert!((energy - p.uncore_mem_energy).abs() < 1e-12);
         assert!(u.contains(0x8000));
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn resident_prefetch_fills_are_free() {
         let mut u = shared_uncore();
-        let p = EnergyParams::power7();
+        let p = power7().energy;
         let _ = u.prefetch_fill(0x8000, 0, &p);
         let again = u.prefetch_fill(0x8000, 0, &p).expect("resident line is always accepted");
         assert_eq!(again, 0.0, "no port traffic for a resident line");
@@ -253,7 +253,7 @@ mod tests {
     fn prefetch_fills_are_dropped_when_the_queue_is_full() {
         let uarch = power7();
         let mut u = shared_uncore();
-        let p = EnergyParams::power7();
+        let p = power7().energy;
         for i in 0..u64::from(uarch.uncore.mem_queue_depth) {
             assert!(u.prefetch_fill(i << 30, 0, &p).is_some(), "prefetch {i} admitted");
         }
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn prefetch_fill_is_inert_in_private_mode() {
         let mut u = UncoreSim::new(&power7(), UncoreMode::Private);
-        let p = EnergyParams::power7();
+        let p = power7().energy;
         assert_eq!(u.prefetch_fill(0x8000, 0, &p), Some(0.0));
         assert!(!u.contains(0x8000));
     }

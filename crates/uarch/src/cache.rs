@@ -144,27 +144,10 @@ pub struct UncoreGeometry {
 }
 
 impl UncoreGeometry {
-    /// POWER7-like shared uncore: the eight 4 MB local slices aggregate into one 32 MB
-    /// 8-way shared L3 with the same 128-byte lines and load-to-use latency, in front of
-    /// a memory port that sustains one line per 2 cycles with an 8-transfer queue.
-    pub fn power7() -> Self {
-        Self {
-            shared_l3: CacheGeometry::new(MemLevel::L3, 32 * 1024 * 1024, 128, 8, 27),
-            mem_port_cycles: 2,
-            mem_queue_depth: 8,
-        }
-    }
-
     /// Cycles of queueing the port can accumulate before admission control stalls
     /// further demand misses.
     pub fn queue_limit_cycles(&self) -> u64 {
         u64::from(self.mem_queue_depth) * u64::from(self.mem_port_cycles)
-    }
-}
-
-impl Default for UncoreGeometry {
-    fn default() -> Self {
-        Self::power7()
     }
 }
 
@@ -182,17 +165,6 @@ pub struct MemoryHierarchy {
 }
 
 impl MemoryHierarchy {
-    /// POWER7-like hierarchy: 32 KB 8-way L1, 256 KB 8-way L2, 4 MB 8-way local L3
-    /// slice, all with 128-byte lines, plus DDR3-class main memory latency.
-    pub fn power7() -> Self {
-        Self {
-            l1: CacheGeometry::new(MemLevel::L1, 32 * 1024, 128, 8, 2),
-            l2: CacheGeometry::new(MemLevel::L2, 256 * 1024, 128, 8, 8),
-            l3: CacheGeometry::new(MemLevel::L3, 4 * 1024 * 1024, 128, 8, 27),
-            mem_latency_cycles: 220,
-        }
-    }
-
     /// Geometry of a cache level.
     ///
     /// # Panics
@@ -230,19 +202,13 @@ impl MemoryHierarchy {
     }
 }
 
-impl Default for MemoryHierarchy {
-    fn default() -> Self {
-        Self::power7()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn power7_geometry_matches_published_parameters() {
-        let h = MemoryHierarchy::power7();
+        let h = crate::power7().hierarchy;
         assert_eq!(h.l1.num_sets(), 32);
         assert_eq!(h.l2.num_sets(), 256);
         assert_eq!(h.l3.num_sets(), 4096);
@@ -255,7 +221,7 @@ mod tests {
 
     #[test]
     fn set_and_tag_roundtrip() {
-        let g = MemoryHierarchy::power7().l1;
+        let g = crate::power7().hierarchy.l1;
         for set in [0u64, 1, 17, 31] {
             for tag in [0u64, 5, 1000] {
                 let addr = g.address_for(tag, set);
@@ -268,7 +234,7 @@ mod tests {
 
     #[test]
     fn latencies_are_monotonically_increasing() {
-        let h = MemoryHierarchy::power7();
+        let h = crate::power7().hierarchy;
         assert!(h.latency(MemLevel::L1) < h.latency(MemLevel::L2));
         assert!(h.latency(MemLevel::L2) < h.latency(MemLevel::L3));
         assert!(h.latency(MemLevel::L3) < h.latency(MemLevel::Mem));
@@ -276,8 +242,8 @@ mod tests {
 
     #[test]
     fn shared_uncore_aggregates_the_slices() {
-        let h = MemoryHierarchy::power7();
-        let u = UncoreGeometry::power7();
+        let m = crate::power7();
+        let (h, u) = (m.hierarchy, m.uncore);
         assert_eq!(u.shared_l3.capacity_bytes, 8 * h.l3.capacity_bytes);
         assert_eq!(u.shared_l3.line_bytes, h.line_bytes());
         assert_eq!(u.shared_l3.num_sets(), 32768);
@@ -293,6 +259,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no cache geometry")]
     fn mem_level_has_no_geometry() {
-        let _ = MemoryHierarchy::power7().geometry(MemLevel::Mem);
+        let _ = crate::power7().hierarchy.geometry(MemLevel::Mem);
     }
 }

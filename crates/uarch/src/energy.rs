@@ -57,43 +57,6 @@ pub struct EnergyParams {
 }
 
 impl EnergyParams {
-    /// The POWER7-like parameter set used throughout the reproduction.
-    pub fn power7() -> Self {
-        Self {
-            idle_power: 100.0,
-            uncore_power: 40.0,
-            uncore_l3_energy: 1.5,
-            uncore_mem_energy: 13.0,
-            uncore_stall_energy: 0.4,
-            per_core_power: 10.0,
-            smt_power: 2.0,
-            unit_base: [
-                (Unit::Fxu, 0.50),
-                (Unit::Lsu, 0.65),
-                (Unit::Vsu, 0.90),
-                (Unit::Dfu, 1.00),
-                (Unit::Bru, 0.30),
-            ],
-            unit_wake: [
-                (Unit::Fxu, 0.70),
-                (Unit::Lsu, 0.80),
-                (Unit::Vsu, 1.20),
-                (Unit::Dfu, 0.80),
-                (Unit::Bru, 0.30),
-            ],
-            complexity_scale: 1.20,
-            switching_scale: 0.55,
-            mem_access_energy: [
-                (MemLevel::L1, 0.60),
-                (MemLevel::L2, 2.20),
-                (MemLevel::L3, 5.50),
-                (MemLevel::Mem, 13.0),
-            ],
-            prefetch_energy: 0.35,
-            flush_energy: 4.0,
-        }
-    }
-
     /// Base activation energy of an execution unit.
     ///
     /// # Panics
@@ -170,19 +133,13 @@ impl EnergyParams {
     }
 }
 
-impl Default for EnergyParams {
-    fn default() -> Self {
-        Self::power7()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn memory_energy_grows_with_distance() {
-        let p = EnergyParams::power7();
+        let p = crate::power7().energy;
         assert!(p.access_energy(MemLevel::L1) < p.access_energy(MemLevel::L2));
         assert!(p.access_energy(MemLevel::L2) < p.access_energy(MemLevel::L3));
         assert!(p.access_energy(MemLevel::L3) < p.access_energy(MemLevel::Mem));
@@ -190,7 +147,7 @@ mod tests {
 
     #[test]
     fn instruction_energy_depends_on_all_factors() {
-        let p = EnergyParams::power7();
+        let p = crate::power7().energy;
         let base = p.instruction_energy(Unit::Fxu, 1.0, OperandWidth::W64, 0, 1.0);
         let complex = p.instruction_energy(Unit::Fxu, 4.0, OperandWidth::W64, 0, 1.0);
         let wide = p.instruction_energy(Unit::Fxu, 1.0, OperandWidth::W128, 0, 1.0);
@@ -204,13 +161,13 @@ mod tests {
 
     #[test]
     fn vsu_costs_more_than_fxu_per_activation() {
-        let p = EnergyParams::power7();
+        let p = crate::power7().energy;
         assert!(p.unit_energy(Unit::Vsu) > p.unit_energy(Unit::Fxu));
     }
 
     #[test]
     #[should_panic(expected = "all execution units are parameterised")]
     fn unparameterised_unit_is_rejected() {
-        let _ = EnergyParams::power7().wake_energy(Unit::Isu);
+        let _ = crate::power7().energy.wake_energy(Unit::Isu);
     }
 }

@@ -1,9 +1,7 @@
 //! The complete machine description type and the POWER7-like instance.
 //!
-//! The authoritative POWER7 definition is the data file `specs/power7.uarch`, loaded by
-//! [`crate::spec`]; [`power7`] is the stable entry point the rest of the workspace uses.
-//! The historical hand-coded construction survives only as a test-only comparison shim
-//! that the round-trip tests check against the spec-loaded description field by field.
+//! The POWER7 definition is the data file `specs/power7.uarch`, loaded by
+//! [`crate::spec`]; [`power7`] is the entry point the rest of the workspace uses.
 
 use mp_isa::Isa;
 
@@ -105,130 +103,6 @@ pub fn power7() -> MicroArchitecture {
     crate::spec::backend("power7").expect("power7 machine spec is embedded")
 }
 
-/// The historical hand-coded POWER7 construction, kept test-only so the round-trip
-/// tests can prove the spec-loaded description is identical to it.
-#[cfg(test)]
-pub(crate) mod handcoded {
-    use mp_isa::{InstrFlags, InstructionDef, LatencyClass};
-
-    use super::*;
-    use crate::units::power7_floorplan;
-
-    /// Derives the execution latency (cycles) of an instruction from its latency class.
-    fn derive_latency(def: &InstructionDef) -> u32 {
-        let fpish = def.flags().intersects(InstrFlags::FLOAT | InstrFlags::VECTOR);
-        match def.latency_class() {
-            LatencyClass::Simple => {
-                if fpish {
-                    2
-                } else {
-                    1
-                }
-            }
-            LatencyClass::Medium => {
-                if fpish {
-                    6
-                } else {
-                    4
-                }
-            }
-            LatencyClass::Long => 13,
-            LatencyClass::VeryLong => 33,
-            // Memory ops: address generation + L1 access pipeline; the hierarchy adds
-            // the per-level latency on top at simulation time.
-            LatencyClass::Memory => 2,
-            LatencyClass::Control => 1,
-        }
-    }
-
-    /// Derives the reciprocal throughput (cycles per instruction per pipe).
-    ///
-    /// The values are chosen so that the steady-state IPCs of single-instruction loops
-    /// come out close to the core IPC column of the paper's Table 3 (e.g. simple integer
-    /// ops ≈3.5, FXU-only ops ≈2.0, loads ≈1.68, update-form loads ≈1.0, vector/FP
-    /// stores ≈0.48).
-    fn derive_recip_throughput(def: &InstructionDef) -> f64 {
-        let flags = def.flags();
-        if flags.contains(InstrFlags::SYNC) {
-            return 30.0;
-        }
-        if def.is_prefetch() {
-            return 1.2;
-        }
-        if def.is_store() {
-            // FP/vector stores move data from the VSU through the store queue and
-            // sustain a much lower rate than fixed point stores.
-            return if flags.intersects(InstrFlags::FLOAT | InstrFlags::VECTOR) {
-                4.17
-            } else {
-                1.19
-            };
-        }
-        if def.is_load() {
-            return if def.is_update_form() || flags.contains(InstrFlags::ALGEBRAIC) {
-                // Update/algebraic forms crack into two internal operations.
-                2.0
-            } else {
-                1.19
-            };
-        }
-        if def.is_decimal() {
-            return 10.0;
-        }
-        if flags.contains(InstrFlags::DIVIDE) {
-            return if flags.intersects(InstrFlags::FLOAT | InstrFlags::VECTOR) {
-                10.0
-            } else {
-                8.0
-            };
-        }
-        if flags.contains(InstrFlags::SQRT) {
-            return 12.0;
-        }
-        if flags.contains(InstrFlags::MULTIPLY) && def.is_integer() && !def.is_vector() {
-            return 1.43;
-        }
-        if def.issue_class() == mp_isa::IssueClass::FxuOrLsu {
-            // Simple ops can use FXU and LSU pipes; 1.14 yields the ≈3.5 aggregate IPC
-            // that the paper reports for this class.
-            return 1.14;
-        }
-        if def.is_privileged() {
-            return 4.0;
-        }
-        1.0
-    }
-
-    /// Builds the POWER7 machine description exactly as the pre-spec code did.
-    pub(crate) fn power7_handcoded() -> MicroArchitecture {
-        let isa = mp_isa::power_isa::power_isa_v206b();
-        let mut iprops = InstrPropsTable::new();
-        for def in isa.instructions() {
-            iprops.insert(InstrProps::new(
-                def.mnemonic(),
-                derive_latency(def),
-                derive_recip_throughput(def),
-                def.units().to_vec(),
-            ));
-        }
-        MicroArchitecture {
-            name: "POWER7".to_owned(),
-            isa,
-            pipes: CorePipes::power7(),
-            hierarchy: MemoryHierarchy::power7(),
-            uncore: UncoreGeometry::power7(),
-            max_cores: 8,
-            smt_modes: vec![SmtMode::Smt1, SmtMode::Smt2, SmtMode::Smt4],
-            frequency_ghz: 3.0,
-            floorplan: power7_floorplan(),
-            energy: EnergyParams::power7(),
-            pmc_names: CounterId::ALL.iter().map(|c| (*c, c.name().to_owned())).collect(),
-            spec_digest: 0,
-            iprops,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,12 +110,14 @@ mod tests {
 
     #[test]
     fn every_isa_instruction_has_properties() {
-        let m = power7();
-        for def in m.isa.instructions() {
-            let p = m.props(def.mnemonic());
-            assert!(p.latency_cycles >= 1, "{} latency", def.mnemonic());
-            assert!(p.recip_throughput > 0.0, "{} throughput", def.mnemonic());
-            assert_eq!(p.units, def.units(), "{} units", def.mnemonic());
+        for name in crate::backend_names() {
+            let m = crate::backend(name).expect("shipped backend loads");
+            for def in m.isa.instructions() {
+                let p = m.props(def.mnemonic());
+                assert!(p.latency_cycles >= 1, "{name}: {} latency", def.mnemonic());
+                assert!(p.recip_throughput > 0.0, "{name}: {} throughput", def.mnemonic());
+                assert_eq!(p.units, def.units(), "{name}: {} units", def.mnemonic());
+            }
         }
     }
 

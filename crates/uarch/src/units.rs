@@ -28,11 +28,6 @@ pub struct CorePipes {
 }
 
 impl CorePipes {
-    /// The POWER7 core resources.
-    pub fn power7() -> Self {
-        Self { dispatch_width: 6, completion_width: 6, fxu: 2, lsu: 2, vsu: 2, dfu: 1, bru: 1 }
-    }
-
     /// Number of pipes for a functional unit (0 for units that are not execution pipes).
     pub fn pipes(&self, unit: Unit) -> u32 {
         match unit {
@@ -51,12 +46,6 @@ impl CorePipes {
     }
 }
 
-impl Default for CorePipes {
-    fn default() -> Self {
-        Self::power7()
-    }
-}
-
 /// One entry of the (coarse) chip floorplan: the relative die area of a component.
 ///
 /// The paper lists floorplan/area knowledge as part of the micro-architecture definition;
@@ -70,26 +59,13 @@ pub struct FloorplanEntry {
     pub core_area_fraction: f64,
 }
 
-/// The POWER7-like per-core floorplan (approximate area fractions).
-pub fn power7_floorplan() -> Vec<FloorplanEntry> {
-    vec![
-        FloorplanEntry { unit: Unit::Ifu, core_area_fraction: 0.16 },
-        FloorplanEntry { unit: Unit::Isu, core_area_fraction: 0.18 },
-        FloorplanEntry { unit: Unit::Fxu, core_area_fraction: 0.10 },
-        FloorplanEntry { unit: Unit::Lsu, core_area_fraction: 0.22 },
-        FloorplanEntry { unit: Unit::Vsu, core_area_fraction: 0.24 },
-        FloorplanEntry { unit: Unit::Dfu, core_area_fraction: 0.04 },
-        FloorplanEntry { unit: Unit::Bru, core_area_fraction: 0.06 },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn power7_pipe_counts() {
-        let p = CorePipes::power7();
+        let p = crate::power7().pipes;
         assert_eq!(p.pipes(Unit::Fxu), 2);
         assert_eq!(p.pipes(Unit::Lsu), 2);
         assert_eq!(p.pipes(Unit::Vsu), 2);
@@ -100,12 +76,10 @@ mod tests {
 
     #[test]
     fn floorplan_fractions_sum_to_about_one() {
-        let total: f64 = power7_floorplan().iter().map(|e| e.core_area_fraction).sum();
-        assert!((total - 1.0).abs() < 0.01, "floorplan fractions sum to {total}");
-    }
-
-    #[test]
-    fn default_is_power7() {
-        assert_eq!(CorePipes::default(), CorePipes::power7());
+        for name in crate::backend_names() {
+            let floorplan = crate::backend(name).expect("shipped backend loads").floorplan;
+            let total: f64 = floorplan.iter().map(|e| e.core_area_fraction).sum();
+            assert!((total - 1.0).abs() < 0.01, "{name}: floorplan fractions sum to {total}");
+        }
     }
 }
