@@ -11,9 +11,10 @@
 //! If a change *intends* to alter simulator results, regenerate the table by running
 //! the test and copying the printed `actual` values — and say so in the PR.
 
-use mp_sim::fixtures::{reference_kernels, uncore_contention_pair, wide_registers};
+use mp_sim::fixtures::{materialise, reference_kernels, uncore_contention_pair, wide_registers};
 use mp_sim::{ChipSim, Kernel, Measurement, SimOptions, UncoreMode};
-use mp_uarch::{power7, CmpSmtConfig, CounterId, SmtMode};
+use mp_stressmark::sets::expert_instructions;
+use mp_uarch::{power7, power8, CmpSmtConfig, CounterId, MicroArchitecture, SmtMode};
 
 /// FNV-1a 64-bit over a byte stream, driven field-by-field below.
 struct Fingerprint(u64);
@@ -99,9 +100,14 @@ fn golden_sim() -> ChipSim {
 
 /// The same pinned options with the shared chip-level uncore enabled.
 fn golden_shared_sim() -> ChipSim {
+    golden_sim_on(power7(), UncoreMode::Shared)
+}
+
+/// The pinned options on `uarch`, in `uncore_mode`.
+fn golden_sim_on(uarch: MicroArchitecture, uncore_mode: UncoreMode) -> ChipSim {
     let mut options = golden_sim().options().clone();
-    options.uncore_mode = UncoreMode::Shared;
-    ChipSim::new(power7()).with_options(options)
+    options.uncore_mode = uncore_mode;
+    ChipSim::new(uarch).with_options(options)
 }
 
 fn golden_runs() -> Vec<(String, u64)> {
@@ -185,6 +191,46 @@ fn golden_shared_runs() -> Vec<(String, u64)> {
     out
 }
 
+/// A pipe-bound stressmark candidate in the style of the POWER8 GA search: the expert
+/// instructions (FXU multiply, VSU FMA, L1-resident LSU vector load) interleaved with
+/// `add`, which may issue on an FXU or an LSU pipe.  Destinations rotate and sources
+/// are fixed, so only the pipes bound the issue rate.
+fn pipe_bound_candidate(uarch: &MicroArchitecture) -> Kernel {
+    let isa = &uarch.isa;
+    let mut mnemonics: Vec<&str> =
+        expert_instructions(uarch).into_iter().map(|id| isa.def(id).mnemonic()).collect();
+    mnemonics.push("add");
+    let body = (0..96)
+        .map(|i| {
+            let address = (i as u64 * 128) % (16 << 10);
+            materialise(isa, mnemonics[i % mnemonics.len()], i, Some(address))
+        })
+        .collect();
+    Kernel::new("pipe_bound", body)
+}
+
+/// POWER8 golden runs (8-wide dispatch): the fixtures and the pipe-bound candidate at
+/// SMT8 on 1 and 4 cores, in private and shared uncore mode, over the full counter set.
+fn golden_power8_runs() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (mode, uncore_mode) in [("private", UncoreMode::Private), ("shared", UncoreMode::Shared)] {
+        let sim = golden_sim_on(power8(), uncore_mode);
+        let isa = &sim.uarch().isa;
+        let mut kernels = reference_kernels(isa);
+        kernels.push(wide_registers(isa));
+        kernels.push(pipe_bound_candidate(sim.uarch()));
+        for kernel in &kernels {
+            for cores in [1, 4] {
+                let config = CmpSmtConfig::new(cores, SmtMode::Smt8);
+                let m = sim.run(kernel, config);
+                let label = format!("power8/{mode}/{}/{}", kernel.name(), config.label());
+                out.push((label, fingerprint_with(&m, &CounterId::ALL)));
+            }
+        }
+    }
+    out
+}
+
 const GOLDEN: [(&str, u64); 21] = [
     ("fix_compute/1-1", 0xc49715601ab61677),
     ("fix_compute/1-4", 0x7e3bd8a2c7dbfad9),
@@ -226,6 +272,31 @@ const GOLDEN_SHARED: [(&str, u64); 7] = [
     ("shared/fix_memory/2-2", 0x72ea025b90d47109),
 ];
 
+/// POWER8 golden hashes, recorded on the simulator whose issue scan visited every
+/// window entry, before the scan skipped issued entries and units without a free pipe.
+const GOLDEN_POWER8: [(&str, u64); 20] = [
+    ("power8/private/fix_compute/1-8", 0xed5dbe31488609a3),
+    ("power8/private/fix_compute/4-8", 0xcfde74f040722738),
+    ("power8/private/fix_memory/1-8", 0xc49cf47614524169),
+    ("power8/private/fix_memory/4-8", 0x61d1ba5da5244f51),
+    ("power8/private/fix_branchy/1-8", 0xd26fa99038cce03c),
+    ("power8/private/fix_branchy/4-8", 0x8b306fc28dcf44b5),
+    ("power8/private/fix_wide/1-8", 0xa41aeeb055e5a36e),
+    ("power8/private/fix_wide/4-8", 0x1586dd2ec010c747),
+    ("power8/private/pipe_bound/1-8", 0x46e1d716c11549d3),
+    ("power8/private/pipe_bound/4-8", 0x22f4d31d0446e5bb),
+    ("power8/shared/fix_compute/1-8", 0xc10e43040da8e969),
+    ("power8/shared/fix_compute/4-8", 0x69422ecefcddcc5a),
+    ("power8/shared/fix_memory/1-8", 0xeb868150779106ee),
+    ("power8/shared/fix_memory/4-8", 0x7e9fc1c933e98266),
+    ("power8/shared/fix_branchy/1-8", 0xe218d75f2826e4b5),
+    ("power8/shared/fix_branchy/4-8", 0x5b766fb15e990edf),
+    ("power8/shared/fix_wide/1-8", 0x22860c4147ec5b99),
+    ("power8/shared/fix_wide/4-8", 0x66bb1eb9706cd06d),
+    ("power8/shared/pipe_bound/1-8", 0x913e71d2f2941819),
+    ("power8/shared/pipe_bound/4-8", 0xe0ba7793ebd6d342),
+];
+
 fn assert_matches_golden(actual: &[(String, u64)], expected: &[(&str, u64)], table: &str) {
     let expected: Vec<(String, u64)> =
         expected.iter().map(|(label, hash)| ((*label).to_owned(), *hash)).collect();
@@ -248,6 +319,11 @@ fn measurements_match_golden_hashes() {
 #[test]
 fn shared_uncore_measurements_match_golden_hashes() {
     assert_matches_golden(&golden_shared_runs(), &GOLDEN_SHARED, "shared-mode");
+}
+
+#[test]
+fn power8_measurements_match_golden_hashes() {
+    assert_matches_golden(&golden_power8_runs(), &GOLDEN_POWER8, "POWER8");
 }
 
 /// The private-mode rows of one kernel on every hardware thread, re-measured through
@@ -296,4 +372,5 @@ fn family_runs_match_golden_hashes() {
 fn golden_runs_are_reproducible_within_a_process() {
     assert_eq!(golden_runs(), golden_runs());
     assert_eq!(golden_shared_runs(), golden_shared_runs());
+    assert_eq!(golden_power8_runs(), golden_power8_runs());
 }
