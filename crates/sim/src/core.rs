@@ -2,16 +2,24 @@
 //!
 //! The issue loop runs entirely over the pre-decoded kernel representation
 //! ([`DecodedBody`]) and the run's [`EnergyTables`]: per window slot it does flat-array
-//! loads and two bitmask tests against the scoreboard and a running mask of pending
-//! writes, and per issue one scoreboard update — no allocation, no hashing, no
-//! re-encoding, no searches.  A core never touches the chip's energy breakdown: each
-//! cycle it logs its dynamic-energy addends into a fixed-capacity [`CycleEnergy`],
-//! which the chip replays.
+//! loads and bitmask tests against the cycle's full units, the scoreboard and a
+//! running mask of pending writes, and per issue one scoreboard update — no
+//! allocation, no hashing, no re-encoding, no searches.  A core never touches the
+//! chip's energy breakdown: each cycle it logs its dynamic-energy addends into a
+//! fixed-capacity [`CycleEnergy`], which the chip replays.
+//!
+//! The scan visits only what can issue.  It walks the set bits of a thread's
+//! "unissued" window mask, oldest first, and skips an entry whose unit slots are all
+//! full this cycle before it looks at registers.  A thread whose unissued entries can
+//! only use full slots is not scanned at all.  All three skips are exact: a slot
+//! without a free pipe stays full for the rest of the cycle, for every thread of the
+//! core, because issuing only raises a pipe's `busy_until`; a skipped entry would have
+//! failed its pipe check, and a skipped scan would have issued, logged and retired
+//! nothing.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use mp_isa::IssueClass;
 use mp_uarch::{CounterValues, MemLevel, MicroArchitecture};
 
 use crate::cache_sim::CoreCaches;
@@ -25,13 +33,6 @@ const ISSUE_WINDOW: usize = 12;
 /// Pipeline flush penalty in cycles on a branch misprediction.
 const MISPREDICT_PENALTY: u64 = 15;
 
-/// One entry of a thread's issue window: a dynamic instance of a body instruction.
-#[derive(Debug, Clone, Copy, Default)]
-struct WindowEntry {
-    body_idx: usize,
-    issued: bool,
-}
-
 /// One execution pipe of a functional unit.
 #[derive(Debug, Clone, Copy, Default)]
 struct Pipe {
@@ -44,9 +45,15 @@ struct Pipe {
 struct ThreadContext {
     /// The thread's kernel, compiled to the dense hot-loop representation.
     body: DecodedBody,
-    /// The issue window, oldest first; `window[..window_len]` is live.
-    window: [WindowEntry; ISSUE_WINDOW],
+    /// The issue window, oldest first: `window[..window_len]` holds the body indices of
+    /// the in-flight instructions.
+    window: [usize; ISSUE_WINDOW],
     window_len: usize,
+    /// Bit `i` is set while `window[i]` has not issued.
+    unissued: u16,
+    /// The unit slots the unissued entries can use: per slot, one byte counting the
+    /// entries (see [`SLOT_ONES`]).
+    unit_demand: u64,
     next_fetch: usize,
     /// Ready time of every register, indexed by the kernel's dense register id.
     reg_ready: Vec<u64>,
@@ -64,8 +71,10 @@ impl ThreadContext {
         let pending_writes = vec![0; body.mask_words()];
         Self {
             body,
-            window: [WindowEntry::default(); ISSUE_WINDOW],
+            window: [0; ISSUE_WINDOW],
             window_len: 0,
+            unissued: 0,
+            unit_demand: 0,
             next_fetch: 0,
             reg_ready,
             pending_writes,
@@ -77,7 +86,9 @@ impl ThreadContext {
 
     fn refill_window(&mut self) {
         while self.window_len < ISSUE_WINDOW {
-            self.window[self.window_len] = WindowEntry { body_idx: self.next_fetch, issued: false };
+            self.window[self.window_len] = self.next_fetch;
+            self.unissued |= 1 << self.window_len;
+            self.unit_demand += SLOT_ONES[usize::from(self.body.units(self.next_fetch))];
             self.window_len += 1;
             self.next_fetch += 1;
             if self.next_fetch == self.body.len() {
@@ -87,10 +98,10 @@ impl ThreadContext {
     }
 
     fn retire_issued_head(&mut self) {
-        let live = &self.window[..self.window_len];
-        let retired = live.iter().position(|e| !e.issued).unwrap_or(live.len());
+        let retired = (self.unissued.trailing_zeros() as usize).min(self.window_len);
         self.window.copy_within(retired..self.window_len, 0);
         self.window_len -= retired;
+        self.unissued >>= retired;
     }
 }
 
@@ -99,28 +110,46 @@ const FXU: usize = 0;
 const LSU: usize = 1;
 const VSU: usize = 2;
 const DFU: usize = 3;
-const BRU: usize = 4;
+
+/// `SLOT_ONES[units]` has a 1 in byte `s` for every unit slot `s` in the mask `units`:
+/// adding it to a thread's `unit_demand` counts one more entry for each of those slots.
+const SLOT_ONES: [u64; 32] = {
+    let mut table = [0; 32];
+    let mut units = 0;
+    while units < 32 {
+        let mut slot = 0;
+        while slot < 5 {
+            if units & 1 << slot != 0 {
+                table[units] |= 1 << (8 * slot);
+            }
+            slot += 1;
+        }
+        units += 1;
+    }
+    table
+};
 
 /// The execution pipes of one core, by unit slot.
 #[derive(Debug)]
 struct Pipes([Vec<Pipe>; 5]);
 
 impl Pipes {
-    /// Picks an execution pipe of `issue`'s class that frees up during cycle `now`,
-    /// as a (unit slot, pipe index) pair.
-    fn select(&self, issue: IssueClass, now: u64) -> Option<(usize, usize)> {
+    /// Picks a pipe that frees up during cycle `now` in the first slot of `units`, in
+    /// slot order, that is not in `full`, as a (unit slot, pipe index) pair.  Every slot
+    /// it finds without a free pipe is added to `full`.  Slot order puts the FXU before
+    /// the LSU for `FxuOrLsu` instructions.
+    fn select(&self, units: u8, full: &mut u8, now: u64) -> Option<(usize, usize)> {
         let deadline = (now + 1) as f64 - 1e-9;
-        let free = |slot: usize| {
-            self.0[slot].iter().position(|p| p.busy_until <= deadline).map(|i| (slot, i))
-        };
-        match issue {
-            IssueClass::Fxu => free(FXU),
-            IssueClass::Lsu => free(LSU),
-            IssueClass::Vsu => free(VSU),
-            IssueClass::Dfu => free(DFU),
-            IssueClass::Bru => free(BRU),
-            IssueClass::FxuOrLsu => free(FXU).or_else(|| free(LSU)),
+        let mut candidates = units & !*full;
+        while candidates != 0 {
+            let slot = candidates.trailing_zeros() as usize;
+            if let Some(pipe) = self.0[slot].iter().position(|p| p.busy_until <= deadline) {
+                return Some((slot, pipe));
+            }
+            *full |= 1 << slot;
+            candidates &= candidates - 1;
         }
+        None
     }
 }
 
@@ -136,6 +165,9 @@ pub(crate) struct CoreSim {
     /// Units that issued at least one instruction in the current cycle, by unit slot
     /// — drives the per-active-cycle wake energy.
     cycle_units: [bool; 5],
+    /// Unit slots found without a free pipe in the current cycle, as a slot mask.  A
+    /// slot stays full until the cycle ends: issuing only raises `busy_until`.
+    full_units: u8,
 }
 
 impl CoreSim {
@@ -181,6 +213,7 @@ impl CoreSim {
             dispatch_width: uarch.pipes.dispatch_width,
             energy: CycleEnergy::default(),
             cycle_units: [false; 5],
+            full_units: 0,
         }
     }
 
@@ -227,6 +260,7 @@ impl CoreSim {
         let mut dispatch_left = self.dispatch_width;
         let mut tid = (now as usize) % nthreads;
         self.cycle_units = [false; 5];
+        self.full_units = 0;
 
         for _ in 0..nthreads {
             if dispatch_left == 0 {
@@ -258,17 +292,23 @@ impl CoreSim {
         uncore: &mut UncoreSim,
         mut dispatch_left: u32,
     ) -> u32 {
-        let Self { threads, caches, pipes, energy, cycle_units, .. } = self;
+        let Self { threads, caches, pipes, energy, cycle_units, full_units, .. } = self;
         let params = tables.params;
         let thread = &mut threads[tid];
         if thread.stall_until > now {
             return dispatch_left;
         }
         thread.refill_window();
+        // Every slot the unissued entries can use is full: the scan would issue and log
+        // nothing, and retire nothing because the head is unissued.
+        if thread.unit_demand & !(SLOT_ONES[usize::from(*full_units)] * 0xff) == 0 {
+            return dispatch_left;
+        }
         let ThreadContext {
             body,
             window,
-            window_len,
+            unissued,
+            unit_demand,
             reg_ready,
             pending_writes,
             stall_until,
@@ -278,27 +318,32 @@ impl CoreSim {
         } = &mut *thread;
         pending_writes.fill(0);
 
-        for entry in &mut window[..*window_len] {
+        // The unissued entries, oldest first.
+        let mut scan = *unissued;
+        while scan != 0 {
             if dispatch_left == 0 {
                 break;
             }
-            if entry.issued {
-                continue;
-            }
-            let idx = entry.body_idx;
+            let pos = scan.trailing_zeros() as usize;
+            scan &= scan - 1;
+            let idx = window[pos];
 
-            // Register dependencies: every source must have been produced (no older
-            // entry still waiting to issue writes it) and its value must be available
-            // by this cycle.  An entry that stays unissued adds its writes to the
-            // pending mask for the younger entries behind it.
+            // An execution pipe of the right unit must be free, and the register
+            // dependencies met: every source must have been produced (no older entry
+            // still waiting to issue writes it) and its value must be available by this
+            // cycle.  An entry that stays unissued adds its writes to the pending mask
+            // for the younger entries behind it.  Both checks fail the same way, so the
+            // cheap test against the full units goes first.
+            let units = body.units(idx);
             let reads = body.reads_mask(idx);
-            if masks_intersect(pending_writes, reads) || !regs_ready(reads, reg_ready, now) {
+            if units & !*full_units == 0
+                || masks_intersect(pending_writes, reads)
+                || !regs_ready(reads, reg_ready, now)
+            {
                 mask_union(pending_writes, body.writes_mask(idx));
                 continue;
             }
-
-            // Execution pipe of the right class must be free.
-            let Some((slot, pipe_idx)) = pipes.select(body.issue_class(idx), now) else {
+            let Some((slot, pipe_idx)) = pipes.select(units, full_units, now) else {
                 mask_union(pending_writes, body.writes_mask(idx));
                 continue;
             };
@@ -318,7 +363,8 @@ impl CoreSim {
 
             // ---- issue ----
             dispatch_left -= 1;
-            entry.issued = true;
+            *unissued &= !(1 << pos);
+            *unit_demand -= SLOT_ONES[usize::from(units)];
             cycle_units[slot] = true;
 
             let flags = body.flags(idx);
@@ -437,7 +483,7 @@ impl CoreSim {
         dispatch_left
     }
 
-    /// Exposes the ISA needed to rebuild instruction info in tests.
+    /// Number of hardware threads on the core.
     #[cfg(test)]
     pub(crate) fn thread_count(&self) -> usize {
         self.threads.len()

@@ -17,6 +17,7 @@
 use mp_isa::{encoding, IssueClass, MemAccess, RegDenseMap};
 use mp_uarch::{MicroArchitecture, OpcodePropsTable};
 
+use crate::energy::UNIT_SLOTS;
 use crate::kernel::Kernel;
 
 /// Pre-resolved per-instruction attributes packed into one byte.
@@ -53,7 +54,9 @@ pub(crate) struct DecodedBody {
     dense_regs: usize,
     /// Words of 64 register bits per read/write mask.
     mask_words: usize,
-    issue: Vec<IssueClass>,
+    /// The unit slots whose pipes can execute each instruction, as a mask with bit `s`
+    /// for [`UNIT_SLOTS`]`[s]`.
+    units: Vec<u8>,
     latency: Vec<u64>,
     recip_throughput: Vec<f64>,
     encoding: Vec<u32>,
@@ -102,7 +105,7 @@ impl DecodedBody {
             len,
             dense_regs,
             mask_words,
-            issue: Vec::with_capacity(len),
+            units: Vec::with_capacity(len),
             latency: Vec::with_capacity(len),
             recip_throughput: Vec::with_capacity(len),
             encoding: Vec::with_capacity(len),
@@ -117,7 +120,7 @@ impl DecodedBody {
         for (i, inst) in body.iter().enumerate() {
             let def = isa.def(inst.opcode());
             let p = props.get(inst.opcode());
-            decoded.issue.push(def.issue_class());
+            decoded.units.push(unit_mask(def.issue_class()));
             decoded.latency.push(u64::from(p.latency_cycles));
             decoded.recip_throughput.push(p.recip_throughput);
             decoded.encoding.push(encoding::encode(isa, inst));
@@ -165,8 +168,9 @@ impl DecodedBody {
         self.mask_words
     }
 
-    pub(crate) fn issue_class(&self, idx: usize) -> IssueClass {
-        self.issue[idx]
+    /// The unit slots instruction `idx` can issue to (bit `s` for [`UNIT_SLOTS`]`[s]`).
+    pub(crate) fn units(&self, idx: usize) -> u8 {
+        self.units[idx]
     }
 
     pub(crate) fn latency(&self, idx: usize) -> u64 {
@@ -213,6 +217,14 @@ impl DecodedBody {
     pub(crate) fn draws_rng(&self) -> bool {
         self.mispredict_rate > 0.0 && self.flags.iter().any(|f| f.is_branch() && f.is_conditional())
     }
+}
+
+/// The unit-slot mask of `issue`: bit `s` is set if [`UNIT_SLOTS`]`[s]` can execute it.
+fn unit_mask(issue: IssueClass) -> u8 {
+    issue.units().iter().fold(0, |mask, unit| {
+        let slot = UNIT_SLOTS.iter().position(|u| u == unit).expect("every unit has a slot");
+        mask | 1 << slot
+    })
 }
 
 /// Returns `true` if two register masks share a set bit.
@@ -271,7 +283,11 @@ mod tests {
             for (i, inst) in kernel.body().iter().enumerate() {
                 let def = isa.def(inst.opcode());
                 let p = uarch.props(def.mnemonic());
-                assert_eq!(d.issue_class(i), def.issue_class());
+                let units: Vec<_> = (0..UNIT_SLOTS.len())
+                    .filter(|s| d.units(i) & 1 << s != 0)
+                    .map(|s| UNIT_SLOTS[s])
+                    .collect();
+                assert_eq!(units, def.issue_class().units());
                 assert_eq!(d.latency(i), u64::from(p.latency_cycles));
                 assert!((d.recip_throughput(i) - p.recip_throughput).abs() == 0.0);
                 assert_eq!(d.encoding(i), encoding::encode(isa, inst));
@@ -332,6 +348,16 @@ mod tests {
         // A misprediction rate without conditional branches never reaches the RNG.
         assert!(!decode(&compute_bound(isa).with_mispredict_rate(0.5)).draws_rng());
         assert!(!decode(&memory_bound(isa)).draws_rng());
+    }
+
+    #[test]
+    fn unit_masks_follow_the_slot_order() {
+        assert_eq!(unit_mask(IssueClass::Fxu), 0b00001);
+        assert_eq!(unit_mask(IssueClass::Lsu), 0b00010);
+        assert_eq!(unit_mask(IssueClass::FxuOrLsu), 0b00011);
+        assert_eq!(unit_mask(IssueClass::Vsu), 0b00100);
+        assert_eq!(unit_mask(IssueClass::Dfu), 0b01000);
+        assert_eq!(unit_mask(IssueClass::Bru), 0b10000);
     }
 
     #[test]
