@@ -372,9 +372,17 @@ impl<P: Platform> ExperimentSession<P> {
         let (contents, keys): (Vec<u128>, Vec<u128>) = {
             let _keys_span = mp_telemetry::span("session.keys");
             let mut buffer = Vec::new();
+            // Sweep jobs share one kernel and sit next to each other: hash each run of
+            // jobs on the same kernel once.
+            let mut previous: Option<(&Kernel, u128)> = None;
             jobs.iter()
                 .map(|(b, c)| {
-                    let content = content_hash(b.kernel(), digest, &mut buffer);
+                    let kernel = b.kernel();
+                    let content = match previous {
+                        Some((k, content)) if std::ptr::eq(k, kernel) => content,
+                        _ => content_hash(kernel, digest, &mut buffer),
+                    };
+                    previous = Some((kernel, content));
                     (content, config_key(content, *c))
                 })
                 .unzip()
