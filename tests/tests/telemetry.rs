@@ -229,6 +229,35 @@ fn replicated_thread_cycles_count_the_cores_shared_by_a_family() {
 }
 
 #[test]
+fn stepped_thread_cycles_count_only_the_cores_a_family_steps() {
+    let _lock = serial();
+    let _restore = TelemetryOff;
+    mp_telemetry::set_enabled(true);
+    let sim = fast_sim();
+    let isa = &sim.uarch().isa;
+    let configs: Vec<CmpSmtConfig> =
+        (1..=8).map(|cores| CmpSmtConfig::new(cores, SmtMode::Smt2)).collect();
+    // 36 cores served over the family, 900 measured cycles × 2 threads each.
+    let served = 900 * 2 * 36;
+
+    // An RNG-free core is stepped once, for all eight core indices.
+    sim.run_family(&compute_bound(isa), &configs);
+    let agg = mp_telemetry::snapshot();
+    assert_eq!(counter_total(&agg, "sim.thread_cycles"), served);
+    // (300 warm-up + 900 measured cycles) × 2 threads × 1 stepped core.
+    assert_eq!(counter_total(&agg, "sim.stepped_thread_cycles"), 1_200 * 2);
+    assert_eq!(counter_total(&agg, "sim.replicated_thread_cycles"), 1_200 * 2 * 35);
+
+    // Mispredicting cores are stepped once per index: 8 cores for the 36 served.
+    mp_telemetry::reset();
+    sim.run_family(&branchy(isa), &configs);
+    let agg = mp_telemetry::snapshot();
+    assert_eq!(counter_total(&agg, "sim.thread_cycles"), served);
+    assert_eq!(counter_total(&agg, "sim.stepped_thread_cycles"), 1_200 * 2 * 8);
+    assert_eq!(counter_total(&agg, "sim.replicated_thread_cycles"), 1_200 * 2 * 28);
+}
+
+#[test]
 fn enabling_telemetry_does_not_change_session_results_at_any_worker_count() {
     let _lock = serial();
     let _restore = TelemetryOff;
