@@ -76,9 +76,16 @@ impl Addends {
         self.len += 1;
     }
 
-    fn add_to(&self, acc: &mut f64) {
+    /// Adds the addends, in order, to the `field` of every breakdown.
+    fn add_to(
+        &self,
+        breakdowns: &mut [EnergyBreakdown],
+        field: impl Fn(&mut EnergyBreakdown) -> &mut f64,
+    ) {
         for value in &self.values[..self.len] {
-            *acc += value;
+            for breakdown in breakdowns.iter_mut() {
+                *field(breakdown) += value;
+            }
         }
     }
 }
@@ -118,11 +125,13 @@ impl CycleEnergy {
         self.uncore.len = 0;
     }
 
-    /// Adds the logged addends to `breakdown`, field by field in logging order.
-    pub(crate) fn add_to(&self, breakdown: &mut EnergyBreakdown) {
-        self.compute.add_to(&mut breakdown.dynamic_compute);
-        self.memory.add_to(&mut breakdown.dynamic_memory);
-        self.uncore.add_to(&mut breakdown.uncore);
+    /// Adds the logged addends to each of `breakdowns`, field by field in logging
+    /// order.  Every breakdown sees exactly the additions it would see alone; the
+    /// breakdowns' additions are independent of each other.
+    pub(crate) fn add_to(&self, breakdowns: &mut [EnergyBreakdown]) {
+        self.compute.add_to(breakdowns, |b| &mut b.dynamic_compute);
+        self.memory.add_to(breakdowns, |b| &mut b.dynamic_memory);
+        self.uncore.add_to(breakdowns, |b| &mut b.uncore);
     }
 }
 
@@ -248,7 +257,7 @@ mod tests {
             log.uncore.push(v);
         }
         let mut direct = EnergyBreakdown { uncore: 0.5, ..EnergyBreakdown::default() };
-        let mut replayed = direct;
+        let mut lanes = [direct; 3];
         for _ in 0..3 {
             for v in compute {
                 direct.dynamic_compute += v;
@@ -259,19 +268,21 @@ mod tests {
             for v in uncore {
                 direct.uncore += v;
             }
-            log.add_to(&mut replayed);
+            log.add_to(&mut lanes);
         }
-        for (a, b) in [
-            (direct.dynamic_compute, replayed.dynamic_compute),
-            (direct.dynamic_memory, replayed.dynamic_memory),
-            (direct.uncore, replayed.uncore),
-        ] {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for replayed in lanes {
+            for (a, b) in [
+                (direct.dynamic_compute, replayed.dynamic_compute),
+                (direct.dynamic_memory, replayed.dynamic_memory),
+                (direct.uncore, replayed.uncore),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
         log.clear();
-        let before = replayed;
-        log.add_to(&mut replayed);
-        assert_eq!(before, replayed, "a cleared log adds nothing");
+        let before = lanes;
+        log.add_to(&mut lanes);
+        assert_eq!(before, lanes, "a cleared log adds nothing");
     }
 
     #[test]
