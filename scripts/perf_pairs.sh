@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Compares the end-to-end benchmark of the working tree against a base revision.
 #
-# 1. Checks BASE out into a temporary git worktree.  Every run goes through
+# 1. Checks BASE out into a temporary clone of the repository.  Every run goes through
 #    `e2e_bench/steady.py collect` in its own tree, which runs BENCHMARK.json's command
 #    (`cargo run --release` of e2e_bench, so each side builds its own binary with its own
 #    references compiled in) at BENCHMARK.json's run_seconds.
@@ -12,6 +12,10 @@
 #    table is also kept as target/perf_pairs/compare.txt: for every workload and
 #    end-to-end metric, both spreads within the metric's bound in BENCHMARK.json and
 #    the change's median no worse than the base's by more than that bound.
+# 5. Writes the snapshot benchmarks/BENCH_<short HEAD>.json (scripts/bench_snapshot.py):
+#    per workload and end-to-end metric, both medians and quartiles and the change's
+#    per-pair win count, plus the compare table and every run's result line.  Commit it
+#    with the change it measures.
 #
 # Usage: scripts/perf_pairs.sh BASE   (a revision, e.g. HEAD~1)
 set -euo pipefail
@@ -28,8 +32,9 @@ base_rev="$(git rev-parse --verify "${1:?usage: scripts/perf_pairs.sh BASE}^{com
 while read -r name; do unset "$name"; done < <(compgen -e | grep '^MP_' || true)
 
 base="$(mktemp -d)"
-trap 'git worktree remove --force "$base"' EXIT
-git worktree add --detach -q "$base" "$base_rev"
+trap 'rm -rf "$base"' EXIT
+git clone -q --no-checkout "$root" "$base"
+git -C "$base" checkout -q --detach "$base_rev"
 
 rm -rf "$OUT"
 mkdir -p "$OUT/base" "$OUT/change"
@@ -54,4 +59,7 @@ for workload in $workloads; do
     done
 done
 
-python3 e2e_bench/steady.py compare "$OUT/base" "$OUT/change" | tee "$OUT/compare.txt"
+status=0
+python3 e2e_bench/steady.py compare "$OUT/base" "$OUT/change" | tee "$OUT/compare.txt" || status=$?
+python3 scripts/bench_snapshot.py "$OUT" "$base_rev" "$status"
+exit "$status"
