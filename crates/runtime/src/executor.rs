@@ -102,7 +102,6 @@ where
     if mp_telemetry::enabled() {
         mp_telemetry::counter("executor.par_map_calls", 1);
         mp_telemetry::counter("executor.jobs", len as u64);
-        mp_telemetry::gauge("executor.workers", workers as f64);
     }
     let cheap =
         matches!(cost, CostHint::PerItemNs(ns) if ns.saturating_mul(len as u64) < INLINE_BELOW_NS);
@@ -135,9 +134,6 @@ where
                 }
             }
         }
-        // `thread::scope` joins a thread before its TLS destructors have run, so the
-        // spawner's snapshot would race the thread-exit flush.
-        mp_telemetry::flush();
         done
     };
 

@@ -457,9 +457,6 @@ impl<P: Platform> ExperimentSession<P> {
                         }
                     }
                 }
-                if telemetry {
-                    mp_telemetry::gauge("session.memo_entries", cache.len() as f64);
-                }
             }
             // Persist new measurements serially in first-appearance order
             // (deterministic fault occurrences, see above).

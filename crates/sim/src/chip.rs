@@ -1,7 +1,6 @@
 //! The chip-level simulator: cores + uncore + power sensor sampling.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -303,7 +302,6 @@ impl ChipSim {
         // is bit-identical to an uninstrumented one.
         let telemetry = mp_telemetry::enabled();
         let cycle_span = mp_telemetry::span("sim.cycle_loop");
-        let mut energy_accrual_ns = 0u64;
         // One lane per configuration, by decreasing core count: the configurations
         // that have core `k` are the first `with_core[k]` lanes.
         let mut lanes: Vec<usize> = (0..configs.len()).collect();
@@ -341,15 +339,11 @@ impl ChipSim {
             for ((&c, sensor), breakdown) in lanes.iter().zip(&mut sensors).zip(&mut breakdowns) {
                 self.accrue_static(breakdown, configs[c]);
                 if let Some(window_cycles) = window_cycles {
-                    let accrual_start = telemetry.then(Instant::now);
                     let energy_now = breakdown.total();
                     let window_energy = energy_now - sensor.window_start_energy;
                     sensor.window_start_energy = energy_now;
                     let clean = window_energy / window_cycles as f64;
                     sensor.samples.push(self.add_noise(clean, &mut sensor.rng));
-                    if let Some(t0) = accrual_start {
-                        energy_accrual_ns += t0.elapsed().as_nanos() as u64;
-                    }
                 }
             }
         }
@@ -388,7 +382,6 @@ impl ChipSim {
             let runs = configs.len() as u64;
             let threads: u64 = configs.iter().map(|c| u64::from(c.threads())).sum();
             let served_cores: u64 = configs.iter().map(|c| u64::from(c.cores)).sum();
-            mp_telemetry::span_duration("sim.energy_accrual", energy_accrual_ns);
             mp_telemetry::counter("sim.measurements", runs);
             mp_telemetry::counter("sim.cycles", cycles * runs);
             mp_telemetry::counter("sim.warmup_cycles", self.options.warmup_cycles * runs);

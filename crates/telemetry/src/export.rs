@@ -4,7 +4,7 @@
 //!
 //! * [`summary`] — the `# Telemetry` block every experiment binary prints to **stderr**
 //!   (stderr so figure stdout stays byte-identical across worker counts while the
-//!   telemetry — steal counts, wall times — legitimately varies);
+//!   telemetry — wall times, which worker ran what — legitimately varies);
 //! * [`chrome_trace_json`] — the Chrome trace-event array format; load the file in
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` to see the spans on a
 //!   per-thread timeline.
@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 use std::io::Write as _;
 
-use crate::registry::{Aggregate, Key};
+use crate::registry::Aggregate;
 
 /// Environment variable naming the Chrome-trace output file.
 pub const TRACE_ENV: &str = "MP_TELEMETRY_TRACE";
@@ -31,57 +31,20 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// One metric name's `(index, value)` pairs, in key order (plain key first).
-type Series<T> = Vec<(Option<u32>, T)>;
-
-/// Groups indexed series under their base name.
-fn grouped<'a, V, T>(
-    entries: impl Iterator<Item = (&'a Key, &'a V)>,
-    value: impl Fn(&V) -> T,
-) -> std::collections::BTreeMap<&'static str, Series<T>>
-where
-    V: 'a,
-{
-    let mut out: std::collections::BTreeMap<&'static str, Series<T>> =
-        std::collections::BTreeMap::new();
-    for (key, v) in entries {
-        out.entry(key.name).or_default().push((key.index, value(v)));
-    }
-    out
-}
-
 /// The multi-line `# Telemetry` summary block (every line `#`-prefixed, so it can share
 /// a stream with figure output without breaking text-table consumers).
 pub fn summary(agg: &Aggregate) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# Telemetry — {} counters, {} gauges, {} spans, {} histograms",
+        "# Telemetry — {} counters, {} spans, {} histograms",
         agg.counters.len(),
-        agg.gauges.len(),
         agg.spans.len(),
         agg.histograms.len()
     );
 
-    for (name, series) in grouped(agg.counters.iter(), |v: &u64| *v) {
-        let total: u64 = series.iter().map(|(_, v)| v).sum();
-        let _ = write!(out, "#   counter {name} = {total}");
-        if series.len() > 1 || series.first().is_some_and(|(i, _)| i.is_some()) {
-            let parts: Vec<String> =
-                series.iter().filter_map(|(i, v)| i.map(|i| format!("w{i}={v}"))).collect();
-            if !parts.is_empty() {
-                let _ = write!(out, " ({})", parts.join(" "));
-            }
-        }
-        let _ = writeln!(out);
-    }
-
-    for (key, gauge) in &agg.gauges {
-        let _ = writeln!(
-            out,
-            "#   gauge {key} = {:.3} (min {:.3}, max {:.3}, {} sets)",
-            gauge.last, gauge.min, gauge.max, gauge.count
-        );
+    for (name, value) in &agg.counters {
+        let _ = writeln!(out, "#   counter {name} = {value}");
     }
 
     for (name, span) in &agg.spans {
@@ -98,10 +61,10 @@ pub fn summary(agg: &Aggregate) -> String {
         );
     }
 
-    for (key, hist) in &agg.histograms {
+    for (name, hist) in &agg.histograms {
         let _ = writeln!(
             out,
-            "#   hist {key} — n={}, mean {:.1}, p50<={}, p90<={}, min {}, max {}",
+            "#   hist {name} — n={}, mean {:.1}, p50<={}, p90<={}, min {}, max {}",
             hist.count,
             hist.mean(),
             hist.quantile_upper_bound(0.5),
@@ -205,23 +168,19 @@ pub fn report() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{GaugeStat, Histogram, SpanStat, TraceEvent};
+    use crate::registry::{Histogram, SpanStat, TraceEvent};
 
     fn sample_aggregate() -> Aggregate {
         let mut agg = Aggregate::default();
-        agg.counters.insert(Key { name: "session.hit", index: None }, 7);
-        agg.counters.insert(Key { name: "executor.steal", index: Some(0) }, 2);
-        agg.counters.insert(Key { name: "executor.steal", index: Some(1) }, 5);
-        let mut g = GaugeStat { last: 3.0, max: 9.0, min: 1.0, count: 4 };
-        g.last = 3.0;
-        agg.gauges.insert(Key { name: "session.memo_entries", index: None }, g);
+        agg.counters.insert("session.hit", 7);
+        agg.counters.insert("executor.jobs", 12);
         let mut span = SpanStat::default();
         span.durations.record(1_500);
         span.durations.record(3_000);
         agg.spans.insert("sim.cycle_loop", span);
         let mut hist = Histogram::default();
         hist.record(64);
-        agg.histograms.insert(Key { name: "executor.task_ns", index: None }, hist);
+        agg.histograms.insert("session.job_sim_cycles", hist);
         agg.trace.push(TraceEvent {
             name: "sim.cycle_loop",
             start_ns: 2_000,
@@ -233,11 +192,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_totals_indexed_counters_and_shows_the_breakdown() {
+    fn summary_lists_every_metric_by_name() {
         let text = summary(&sample_aggregate());
-        assert!(text.starts_with("# Telemetry — "), "{text}");
-        assert!(text.contains("counter executor.steal = 7 (w0=2 w1=5)"), "{text}");
-        assert!(text.contains("counter session.hit = 7"), "{text}");
+        assert!(text.starts_with("# Telemetry — 2 counters, 1 spans, 1 histograms"), "{text}");
+        assert!(text.contains("counter executor.jobs = 12\n"), "{text}");
+        assert!(text.contains("counter session.hit = 7\n"), "{text}");
+        assert!(text.contains("hist session.job_sim_cycles — n=1"), "{text}");
         assert!(text.contains("span sim.cycle_loop — 2 calls"), "{text}");
         assert!(text.lines().all(|l| l.starts_with('#')), "all lines #-prefixed: {text}");
     }

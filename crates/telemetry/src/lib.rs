@@ -2,16 +2,16 @@
 //!
 //! The paper's method is instrumentation: read the PMCs while controlled workloads run.
 //! This crate gives the harness itself the same visibility — scoped spans (nested
-//! wall-time timers), monotonic counters, gauges and power-of-two-bucket histograms —
-//! without perturbing the thing being observed:
+//! wall-time timers), monotonic counters and log-linear histograms — without
+//! perturbing the thing being observed:
 //!
 //! * **Provably inert.**  Telemetry only ever *reads* clocks; it never touches RNG
 //!   streams, simulator state or scheduling decisions, so golden fingerprints and the
 //!   serial==parallel determinism suites pass byte-identical with telemetry enabled.
 //! * **Near-free when disabled.**  Every recording call first checks [`enabled`] — one
 //!   relaxed atomic load — and returns immediately when telemetry is off (the default).
-//! * **Thread-local collection.**  Records land in an unsynchronised thread-local
-//!   buffer and are aggregated at flush points, so the enabled hot path takes no lock.
+//! * **One registry.**  Every record goes straight into one locked process-wide
+//!   aggregate, so a [`snapshot`] sees the records of every thread, running or not.
 //!
 //! Enable with `MP_TELEMETRY=1` (or [`set_enabled`] in tests/benches).  Export two
 //! ways: [`summary`]/[`report`] (the `# Telemetry` block on stderr), and
@@ -25,11 +25,10 @@
 //! {
 //!     let _span = mp_telemetry::span("demo.phase");
 //!     mp_telemetry::counter("demo.items", 3);
-//!     mp_telemetry::gauge("demo.queue_depth", 2.0);
 //!     mp_telemetry::histogram("demo.latency_ns", 1500);
 //! }
 //! let snapshot = mp_telemetry::snapshot();
-//! assert_eq!(snapshot.counters.iter().find(|(k, _)| k.name == "demo.items").unwrap().1, &3);
+//! assert_eq!(snapshot.counters["demo.items"], 3);
 //! assert!(mp_telemetry::summary(&snapshot).contains("span demo.phase"));
 //! ```
 
@@ -40,7 +39,7 @@ pub mod export;
 pub mod registry;
 
 pub use export::{chrome_trace_json, report, summary, TRACE_ENV};
-pub use registry::{flush, snapshot, Aggregate, GaugeStat, Histogram, Key, SpanStat, TraceEvent};
+pub use registry::{snapshot, Aggregate, Histogram, SpanStat, TraceEvent};
 
 /// Environment variable gating collection: truthy values (`1`, `true`, `on`, `yes`)
 /// enable telemetry for the process.
@@ -76,8 +75,7 @@ pub fn set_enabled(on: bool) {
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Clears every collected metric (calling thread's buffer plus the global aggregate).
-/// For tests; racing collectors on other threads keep their unflushed buffers.
+/// Clears every collected metric (tests, benches).
 pub fn reset() {
     registry::reset();
 }
@@ -86,32 +84,15 @@ pub fn reset() {
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
     if enabled() {
-        registry::record_counter(name, None, delta);
+        registry::record_counter(name, delta);
     }
 }
 
-/// Adds `delta` to the `index`-th series of a counter (per-worker/per-core
-/// breakdowns; the summary totals the series and shows the split).
-#[inline]
-pub fn counter_indexed(name: &'static str, index: u32, delta: u64) {
-    if enabled() {
-        registry::record_counter(name, Some(index), delta);
-    }
-}
-
-/// Sets a gauge to `value` (aggregated as last-write plus running min/max).
-#[inline]
-pub fn gauge(name: &'static str, value: f64) {
-    if enabled() {
-        registry::record_gauge(name, None, value);
-    }
-}
-
-/// Records `value` into a power-of-two-bucket histogram.
+/// Records `value` into a log-linear histogram.
 #[inline]
 pub fn histogram(name: &'static str, value: u64) {
     if enabled() {
-        registry::record_histogram(name, None, value);
+        registry::record_histogram(name, value);
     }
 }
 
@@ -133,30 +114,12 @@ pub struct Span {
     start: Option<(Instant, u64)>,
 }
 
-impl Span {
-    /// Nanoseconds elapsed since the span started (0 when telemetry is disabled).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.map(|(start, _)| start.elapsed().as_nanos() as u64).unwrap_or(0)
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((start, start_ns)) = self.start {
             let dur_ns = start.elapsed().as_nanos() as u64;
             registry::record_span(self.name, start_ns, dur_ns);
         }
-    }
-}
-
-/// Records an already-measured duration under `name`'s span statistics without a
-/// Chrome-trace event — for sub-loop attribution accumulated across many tiny
-/// occurrences (e.g. the simulator's per-sample energy accrual), where one event per
-/// occurrence would be timeline noise.
-#[inline]
-pub fn span_duration(name: &'static str, dur_ns: u64) {
-    if enabled() {
-        registry::record_span_stat_only(name, dur_ns);
     }
 }
 
@@ -191,12 +154,10 @@ mod tests {
         reset();
         counter("test.off", 5);
         histogram("test.off_hist", 1);
-        gauge("test.off_gauge", 1.0);
         drop(span("test.off_span"));
         let agg = snapshot();
         assert!(agg.counters.is_empty());
         assert!(agg.histograms.is_empty());
-        assert!(agg.gauges.is_empty());
         assert!(agg.spans.is_empty());
     }
 
@@ -207,22 +168,13 @@ mod tests {
         reset();
         counter("test.items", 2);
         counter("test.items", 3);
-        counter_indexed("test.steal", 0, 1);
-        counter_indexed("test.steal", 1, 4);
-        gauge("test.depth", 7.0);
-        gauge("test.depth", 2.0);
         {
-            let outer = span("test.outer");
+            let _outer = span("test.outer");
             let _inner = span("test.inner");
-            assert!(outer.elapsed_ns() < u64::MAX);
         }
         let agg = snapshot();
         set_enabled(false);
-        assert_eq!(agg.counters[&Key { name: "test.items", index: None }], 5);
-        assert_eq!(agg.counters[&Key { name: "test.steal", index: Some(1) }], 4);
-        let depth = &agg.gauges[&Key { name: "test.depth", index: None }];
-        assert_eq!(depth.last, 2.0);
-        assert_eq!(depth.max, 7.0);
+        assert_eq!(agg.counters["test.items"], 5);
         assert_eq!(agg.spans["test.outer"].durations.count, 1);
         assert_eq!(agg.spans["test.inner"].durations.count, 1);
         assert_eq!(agg.trace.len(), 2, "one trace event per completed span");
@@ -232,31 +184,34 @@ mod tests {
     }
 
     #[test]
-    fn worker_thread_buffers_flush_on_thread_exit() {
+    fn snapshot_sees_the_records_of_running_threads() {
         let _guard = serial();
         set_enabled(true);
         reset();
-        // Plain `join` waits for full thread termination — TLS destructors included —
-        // so the drop-guard flush is observable here.  (`std::thread::scope` is NOT
-        // enough: it only waits for the closure, which is why the executor's workers
-        // call `flush()` explicitly before their closure returns.)
-        let handles: Vec<_> = (0..3u32)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    counter_indexed("test.worker_work", i, u64::from(i) + 1);
+        // The workers record, then wait at the barrier until the snapshot is taken:
+        // their records must be visible while they are still alive.
+        let recorded = std::sync::Barrier::new(4);
+        let snapshotted = std::sync::Barrier::new(4);
+        let agg = std::thread::scope(|scope| {
+            for i in 0..3u64 {
+                let (recorded, snapshotted) = (&recorded, &snapshotted);
+                scope.spawn(move || {
+                    counter("test.worker_work", i + 1);
                     set_thread_label(&format!("unit-worker-{i}"));
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("worker thread panics propagate");
-        }
-        let agg = snapshot();
+                    recorded.wait();
+                    snapshotted.wait();
+                });
+            }
+            recorded.wait();
+            let agg = snapshot();
+            snapshotted.wait();
+            agg
+        });
         set_enabled(false);
-        let total: u64 =
-            agg.counters.iter().filter(|(k, _)| k.name == "test.worker_work").map(|(_, v)| v).sum();
-        assert_eq!(total, 6);
-        assert_eq!(agg.thread_labels.len(), 3);
+        assert_eq!(agg.counters["test.worker_work"], 6);
+        let mut labels: Vec<&str> = agg.thread_labels.values().map(String::as_str).collect();
+        labels.sort_unstable();
+        assert_eq!(labels, ["unit-worker-0", "unit-worker-1", "unit-worker-2"]);
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! Metric storage: thread-local buffers aggregated into one global registry.
+//! Metric storage: one process-wide registry behind a mutex.
 //!
-//! Instrumented code records into an unsynchronised thread-local [`LocalBuffer`]; the
-//! buffer drains into the process-wide registry when the thread exits, when its trace
-//! buffer fills, or when a [`snapshot`](crate::snapshot) is taken (which drains the
-//! *calling* thread first).  The hot path therefore never takes the global lock except
-//! at those rare drain points.
+//! Every record takes the registry lock.  Records only happen with telemetry on, and
+//! they are rare (one span per engine run or executor item, a few counters per
+//! batch), so the lock costs nothing measurable, and a [`snapshot`] sees every
+//! thread's records, including those of threads that are still running.
 //!
 //! All aggregate maps are `BTreeMap`s so every export (summary, Chrome
 //! trace) iterates metrics in a stable name order.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Log-linear histogram resolution: each power-of-two octave splits into
@@ -27,28 +25,6 @@ pub const HISTOGRAM_BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BUCKET_BITS as usiz
 /// Global cap on buffered Chrome-trace events; beyond it events are counted as dropped
 /// instead of stored, so a long run cannot exhaust memory.
 pub const MAX_TRACE_EVENTS: usize = 1 << 18;
-
-/// Local trace buffers drain into the registry at this size.
-const LOCAL_TRACE_DRAIN: usize = 4096;
-
-/// A key of one metric series: a static name plus an optional small index for
-/// per-worker/per-core breakdowns (`executor.steal` worker 3 and so on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Key {
-    /// Metric name (dot-separated, `layer.metric` convention).
-    pub name: &'static str,
-    /// Optional per-entity index (worker id, core id).
-    pub index: Option<u32>,
-}
-
-impl std::fmt::Display for Key {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.index {
-            Some(i) => write!(f, "{}[{i}]", self.name),
-            None => f.write_str(self.name),
-        }
-    }
-}
 
 /// A log-linear histogram (8 buckets per octave, exact below 8) with exact
 /// count/sum/min/max.
@@ -130,49 +106,6 @@ impl Histogram {
         }
         self.max
     }
-
-    fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Aggregate of one gauge: the most recently set value plus the running extremes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GaugeStat {
-    /// Most recently set value (by drain order across threads).
-    pub last: f64,
-    /// Largest value ever set.
-    pub max: f64,
-    /// Smallest value ever set.
-    pub min: f64,
-    /// Number of sets.
-    pub count: u64,
-}
-
-impl GaugeStat {
-    fn new(value: f64) -> Self {
-        Self { last: value, max: value, min: value, count: 1 }
-    }
-
-    fn set(&mut self, value: f64) {
-        self.last = value;
-        self.max = self.max.max(value);
-        self.min = self.min.min(value);
-        self.count += 1;
-    }
-
-    fn merge(&mut self, other: &GaugeStat) {
-        self.last = other.last;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-        self.count += other.count;
-    }
 }
 
 /// Aggregate of one span name: call count plus a duration histogram (nanoseconds).
@@ -195,15 +128,13 @@ pub struct TraceEvent {
     pub tid: u64,
 }
 
-/// The aggregated state of every metric, as drained from the thread-local buffers.
+/// The aggregated state of every metric.
 #[derive(Debug, Clone, Default)]
 pub struct Aggregate {
     /// Monotonic counters.
-    pub counters: BTreeMap<Key, u64>,
-    /// Last-write gauges with running extremes.
-    pub gauges: BTreeMap<Key, GaugeStat>,
+    pub counters: BTreeMap<&'static str, u64>,
     /// Value histograms.
-    pub histograms: BTreeMap<Key, Histogram>,
+    pub histograms: BTreeMap<&'static str, Histogram>,
     /// Span statistics by name.
     pub spans: BTreeMap<&'static str, SpanStat>,
     /// Completed span occurrences for the Chrome trace (capped).
@@ -214,45 +145,11 @@ pub struct Aggregate {
     pub thread_labels: BTreeMap<u64, String>,
 }
 
-impl Aggregate {
-    fn merge_from(&mut self, local: &mut LocalBuffer) {
-        for (key, value) in std::mem::take(&mut local.counters) {
-            *self.counters.entry(key).or_insert(0) += value;
-        }
-        for (key, value) in std::mem::take(&mut local.gauges) {
-            self.gauges.entry(key).and_modify(|g| g.merge(&value)).or_insert(value);
-        }
-        for (key, value) in std::mem::take(&mut local.histograms) {
-            self.histograms.entry(key).and_modify(|h| h.merge(&value)).or_insert(value);
-        }
-        for (name, value) in std::mem::take(&mut local.spans) {
-            self.spans
-                .entry(name)
-                .and_modify(|s| s.durations.merge(&value.durations))
-                .or_insert(value);
-        }
-        for event in local.trace.drain(..) {
-            if self.trace.len() < MAX_TRACE_EVENTS {
-                self.trace.push(event);
-            } else {
-                self.dropped_trace_events += 1;
-            }
-        }
-        if let Some((tid, label)) = local.thread_label.take() {
-            self.thread_labels.insert(tid, label);
-        }
-    }
-
-    /// Clears every metric (used by tests via [`crate::reset`]).
-    pub fn clear(&mut self) {
-        *self = Aggregate::default();
-    }
-}
-
-/// The process-wide registry.
-fn global() -> &'static Mutex<Aggregate> {
+/// The process-wide registry.  Nothing panics while holding it, but a poisoned lock
+/// would still hold consistent metrics, so poisoning is ignored.
+fn registry() -> MutexGuard<'static, Aggregate> {
     static GLOBAL: OnceLock<Mutex<Aggregate>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(Aggregate::default()))
+    GLOBAL.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The process epoch all trace timestamps are relative to (first telemetry use).
@@ -266,128 +163,46 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-fn next_tid() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// The per-thread unsynchronised metric buffer.
-#[derive(Debug, Default)]
-struct LocalBuffer {
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, GaugeStat>,
-    histograms: BTreeMap<Key, Histogram>,
-    spans: BTreeMap<&'static str, SpanStat>,
-    trace: Vec<TraceEvent>,
-    thread_label: Option<(u64, String)>,
-    tid: u64,
-}
-
-/// Drains the buffer into the global registry when the owning thread exits.
-struct LocalGuard(RefCell<LocalBuffer>);
-
-impl Drop for LocalGuard {
-    fn drop(&mut self) {
-        let local = self.0.get_mut();
-        if !is_empty(local) {
-            global().lock().expect("telemetry registry lock never poisoned").merge_from(local);
-        }
-    }
-}
-
-fn is_empty(local: &LocalBuffer) -> bool {
-    local.counters.is_empty()
-        && local.gauges.is_empty()
-        && local.histograms.is_empty()
-        && local.spans.is_empty()
-        && local.trace.is_empty()
-        && local.thread_label.is_none()
-}
-
 thread_local! {
-    static LOCAL: LocalGuard = LocalGuard(RefCell::new(LocalBuffer::default()));
+    /// Small sequential id of the calling thread, for the Chrome trace.
+    static TID: u64 = {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    };
 }
 
-fn with_local(f: impl FnOnce(&mut LocalBuffer)) {
-    // During thread teardown the TLS slot may already be gone; the guard has flushed,
-    // and late records (from other TLS destructors) are deliberately dropped.
-    let _ = LOCAL.try_with(|guard| {
-        let mut local = guard.0.borrow_mut();
-        if local.tid == 0 {
-            local.tid = next_tid();
-        }
-        f(&mut local);
-        if local.trace.len() >= LOCAL_TRACE_DRAIN {
-            global().lock().expect("telemetry registry lock never poisoned").merge_from(&mut local);
-        }
-    });
+pub(crate) fn record_counter(name: &'static str, delta: u64) {
+    *registry().counters.entry(name).or_insert(0) += delta;
 }
 
-pub(crate) fn record_counter(name: &'static str, index: Option<u32>, delta: u64) {
-    with_local(|local| *local.counters.entry(Key { name, index }).or_insert(0) += delta);
-}
-
-pub(crate) fn record_gauge(name: &'static str, index: Option<u32>, value: f64) {
-    with_local(|local| {
-        local
-            .gauges
-            .entry(Key { name, index })
-            .and_modify(|g| g.set(value))
-            .or_insert_with(|| GaugeStat::new(value));
-    });
-}
-
-pub(crate) fn record_histogram(name: &'static str, index: Option<u32>, value: u64) {
-    with_local(|local| local.histograms.entry(Key { name, index }).or_default().record(value));
+pub(crate) fn record_histogram(name: &'static str, value: u64) {
+    registry().histograms.entry(name).or_default().record(value);
 }
 
 pub(crate) fn record_span(name: &'static str, start_ns: u64, dur_ns: u64) {
-    with_local(|local| {
-        local.spans.entry(name).or_default().durations.record(dur_ns);
-        let tid = local.tid;
-        local.trace.push(TraceEvent { name, start_ns, dur_ns, tid });
-    });
-}
-
-pub(crate) fn record_span_stat_only(name: &'static str, dur_ns: u64) {
-    with_local(|local| local.spans.entry(name).or_default().durations.record(dur_ns));
+    let tid = TID.with(|&tid| tid);
+    let mut agg = registry();
+    agg.spans.entry(name).or_default().durations.record(dur_ns);
+    if agg.trace.len() < MAX_TRACE_EVENTS {
+        agg.trace.push(TraceEvent { name, start_ns, dur_ns, tid });
+    } else {
+        agg.dropped_trace_events += 1;
+    }
 }
 
 pub(crate) fn record_thread_label(label: &str) {
-    with_local(|local| {
-        let tid = local.tid;
-        local.thread_label = Some((tid, label.to_owned()));
-    });
+    let tid = TID.with(|&tid| tid);
+    registry().thread_labels.insert(tid, label.to_owned());
 }
 
-/// Drains the calling thread's buffer into the registry.
-pub fn flush() {
-    let _ = LOCAL.try_with(|guard| {
-        let mut local = guard.0.borrow_mut();
-        if !is_empty(&local) {
-            global().lock().expect("telemetry registry lock never poisoned").merge_from(&mut local);
-        }
-    });
-}
-
-/// Drains the calling thread and returns a clone of the aggregated state.
-///
-/// Buffers of *other* still-running threads are not included until those threads exit
-/// (scoped executor workers always have by the time their spawner snapshots).
+/// A clone of every thread's aggregated records.
 pub fn snapshot() -> Aggregate {
-    flush();
-    global().lock().expect("telemetry registry lock never poisoned").clone()
+    registry().clone()
 }
 
-/// Clears every aggregated and thread-local metric of the calling thread.
+/// Clears every aggregated metric.
 pub fn reset() {
-    let _ = LOCAL.try_with(|guard| {
-        let mut local = guard.0.borrow_mut();
-        let tid = local.tid;
-        *local = LocalBuffer::default();
-        local.tid = tid;
-    });
-    global().lock().expect("telemetry registry lock never poisoned").clear();
+    *registry() = Aggregate::default();
 }
 
 #[cfg(test)]
@@ -460,24 +275,5 @@ mod tests {
         assert_eq!(h.quantile_upper_bound(1.0), 1000, "clamped to the observed max");
         let empty = Histogram::default();
         assert_eq!(empty.quantile_upper_bound(0.5), 0);
-    }
-
-    #[test]
-    fn gauge_merge_keeps_last_and_extremes() {
-        let mut a = GaugeStat::new(5.0);
-        a.set(2.0);
-        let mut b = GaugeStat::new(9.0);
-        b.set(7.0);
-        a.merge(&b);
-        assert_eq!(a.last, 7.0);
-        assert_eq!(a.max, 9.0);
-        assert_eq!(a.min, 2.0);
-        assert_eq!(a.count, 4);
-    }
-
-    #[test]
-    fn key_display_includes_the_index() {
-        assert_eq!(Key { name: "executor.steal", index: None }.to_string(), "executor.steal");
-        assert_eq!(Key { name: "executor.steal", index: Some(3) }.to_string(), "executor.steal[3]");
     }
 }

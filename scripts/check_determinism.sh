@@ -8,6 +8,8 @@
 #    delay faults {off,on} × store {none, cold, warm, faulted}.  Every report must equal
 #    e2e_bench/refs/paper_quick.txt, every warm run must be served entirely from disk,
 #    and every telemetry run must print a summary and write a loadable Chrome trace.
+#    A telemetry run that simulates every job (no store, or a cold one) must count
+#    exactly quick's stepped thread-cycles, most of them recorded on worker threads.
 # 3. `reproduce_all standard` at each worker count must equal tests/refs/paper_standard.txt
 #    (its families span five core counts; quick's span three).
 # 4. One `reproduce_all full` run at the default worker count must equal
@@ -28,6 +30,8 @@ DELAY_FAULTS="delay=0.25"
 REFERENCE=e2e_bench/refs/paper_quick.txt
 STANDARD_REFERENCE=tests/refs/paper_standard.txt
 FULL_REFERENCE=tests/refs/paper_full.txt
+# `sim.stepped_thread_cycles` of one `reproduce_all quick` pass that simulates every job.
+STEPPED_THREAD_CYCLES=8354500
 REPORT_BIN="${CARGO_TARGET_DIR:-target}/release/reproduce_all"
 
 out="${1:-target/determinism}"
@@ -94,6 +98,11 @@ for store in none cold warm faulted; do
         grep -q '# Telemetry' "$out/$name.err" || fail "no telemetry summary on stderr"
         python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$out/$name.trace.json" \
             || fail "$out/$name.trace.json is not valid JSON"
+        if [[ "$store" == none || "$store" == cold ]]; then
+            grep -qF -- "counter sim.stepped_thread_cycles = $STEPPED_THREAD_CYCLES" \
+                "$out/$name.err" \
+                || fail "telemetry lost simulated cycles (see $out/$name.err)"
+        fi
     fi
 done
 done
