@@ -5,7 +5,7 @@
 //! telemetry).  The split is load-bearing for CI — stdout must stay byte-identical
 //! across `MP_THREADS` settings and across cold vs warm `MP_STORE_DIR` runs, so
 //! everything variable goes to stderr.  Centralising the footer here keeps the
-//! eleven binaries from drifting apart on that contract.
+//! five binaries from drifting apart on that contract.
 
 use microprobe::platform::Platform;
 use mp_runtime::ExperimentSession;
