@@ -25,11 +25,6 @@ impl SkeletonPass {
         Self { instructions }
     }
 
-    /// The paper's default skeleton: a 4 K-instruction endless loop.
-    pub fn paper_default() -> Self {
-        Self::endless_loop(4096)
-    }
-
     /// Number of slots the skeleton creates.
     pub fn instructions(&self) -> usize {
         self.instructions
@@ -69,11 +64,6 @@ mod tests {
         synth.add_pass(SkeletonPass::endless_loop(128));
         let bench = synth.synthesize().unwrap();
         assert_eq!(bench.kernel().len(), 128);
-    }
-
-    #[test]
-    fn paper_default_is_4096() {
-        assert_eq!(SkeletonPass::paper_default().instructions(), 4096);
     }
 
     #[test]

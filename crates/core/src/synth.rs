@@ -161,11 +161,6 @@ impl Synthesizer {
         self
     }
 
-    /// Names of the registered passes, in application order.
-    pub fn pass_names(&self) -> Vec<&str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
     /// Applies the pass pipeline and produces the next micro-benchmark.
     ///
     /// # Errors
@@ -251,13 +246,5 @@ mod tests {
         ));
         let bench = synth.synthesize().unwrap();
         assert_eq!(bench.kernel().len(), 1);
-    }
-
-    #[test]
-    fn pass_names_reflect_the_pipeline() {
-        let mut synth = Synthesizer::new(power7());
-        synth.add_pass(SkeletonPass::endless_loop(8));
-        synth.add_pass(InstructionMixPass::uniform(vec![]));
-        assert_eq!(synth.pass_names(), vec!["skeleton", "instruction-mix"]);
     }
 }

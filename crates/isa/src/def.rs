@@ -4,7 +4,6 @@ use std::fmt;
 
 use crate::flags::InstrFlags;
 use crate::operand::OperandKind;
-use crate::register::RegisterFile;
 
 /// Instruction encoding format, following the Power ISA manual nomenclature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -357,25 +356,6 @@ impl InstructionDef {
     pub fn is_update_form(&self) -> bool {
         self.flags.contains(InstrFlags::UPDATE_FORM)
     }
-
-    /// Number of register operands written by the instruction.
-    pub fn num_register_writes(&self) -> usize {
-        self.operands.iter().filter(|o| o.access().map(|a| a.writes()).unwrap_or(false)).count()
-    }
-
-    /// Number of register operands read by the instruction.
-    pub fn num_register_reads(&self) -> usize {
-        self.operands.iter().filter(|o| o.access().map(|a| a.reads()).unwrap_or(false)).count()
-    }
-
-    /// Register files touched by the instruction's operands, without duplicates.
-    pub fn register_files(&self) -> Vec<RegisterFile> {
-        let mut files: Vec<RegisterFile> =
-            self.operands.iter().filter_map(|o| o.register_file()).collect();
-        files.sort();
-        files.dedup();
-        files
-    }
 }
 
 impl fmt::Display for InstructionDef {
@@ -496,7 +476,7 @@ impl InstructionDefBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::register::RegAccess;
+    use crate::register::{RegAccess, RegisterFile};
 
     fn sample_load() -> InstructionDef {
         InstructionDef::builder("lwz", Format::D, 32)
@@ -522,8 +502,6 @@ mod tests {
         assert_eq!(def.units(), &[Unit::Lsu]);
         assert!(def.stresses(Unit::Lsu));
         assert!(!def.stresses(Unit::Vsu));
-        assert_eq!(def.num_register_writes(), 1);
-        assert_eq!(def.num_register_reads(), 1);
     }
 
     #[test]
@@ -556,7 +534,6 @@ mod tests {
             .operand(OperandKind::gpr_read())
             .build();
         assert_eq!(def.units(), &[Unit::Lsu, Unit::Vsu]);
-        assert_eq!(def.register_files(), vec![RegisterFile::Gpr, RegisterFile::Vsr]);
     }
 
     #[test]

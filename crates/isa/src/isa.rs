@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use crate::def::{InstructionDef, IssueClass, Unit};
+use crate::def::{InstructionDef, Unit};
 
 /// Opaque identifier of an instruction definition within an [`Isa`].
 ///
@@ -154,11 +154,6 @@ impl Isa {
         self.select(|d| d.stresses(unit))
     }
 
-    /// All instructions of a given issue class.
-    pub fn by_issue_class(&self, issue: IssueClass) -> Vec<OpcodeId> {
-        self.select(|d| d.issue_class() == issue)
-    }
-
     /// All non-memory, non-branch, unprivileged compute instructions — the population
     /// the paper samples for its "Unit Mix" and random micro-benchmarks.
     pub fn compute_instructions(&self) -> Vec<OpcodeId> {
@@ -178,7 +173,7 @@ impl<'a> IntoIterator for &'a Isa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::def::{Format, LatencyClass, OperandWidth};
+    use crate::def::{Format, IssueClass, LatencyClass, OperandWidth};
     use crate::flags::InstrFlags;
     use crate::operand::OperandKind;
 
@@ -245,7 +240,6 @@ mod tests {
         assert_eq!(isa.stores().len(), 0);
         assert_eq!(isa.branches().len(), 1);
         assert_eq!(isa.stressing(Unit::Lsu).len(), 2); // lwz + add (FxuOrLsu)
-        assert_eq!(isa.by_issue_class(IssueClass::FxuOrLsu).len(), 1);
         assert_eq!(isa.compute_instructions().len(), 1);
     }
 

@@ -54,21 +54,6 @@ impl OperandKind {
         OperandKind::Reg { file: RegisterFile::Gpr, access: RegAccess::Write }
     }
 
-    /// Returns `true` for register operands.
-    pub const fn is_register(&self) -> bool {
-        matches!(self, OperandKind::Reg { .. } | OperandKind::CrField { .. })
-    }
-
-    /// Returns `true` for immediate-like operands (immediates, displacements, targets).
-    pub const fn is_immediate(&self) -> bool {
-        matches!(
-            self,
-            OperandKind::Imm { .. }
-                | OperandKind::Displacement { .. }
-                | OperandKind::BranchTarget { .. }
-        )
-    }
-
     /// Register file addressed by the operand, if it is a register operand.
     pub const fn register_file(&self) -> Option<RegisterFile> {
         match self {
@@ -131,15 +116,6 @@ impl Operand {
         match self {
             Operand::Reg(r) => Some(*r),
             _ => None,
-        }
-    }
-
-    /// The immediate-like value, if any.
-    pub const fn as_imm(&self) -> Option<i64> {
-        match self {
-            Operand::Imm(v) | Operand::Displacement(v) | Operand::BranchTarget(v) => Some(*v),
-            Operand::CrField(v) => Some(*v as i64),
-            Operand::Reg(_) => None,
         }
     }
 
@@ -212,7 +188,5 @@ mod tests {
         let k = OperandKind::Reg { file: RegisterFile::Vsr, access: RegAccess::Write };
         assert_eq!(k.register_file(), Some(RegisterFile::Vsr));
         assert_eq!(k.access(), Some(RegAccess::Write));
-        assert!(k.is_register());
-        assert!(!k.is_immediate());
     }
 }

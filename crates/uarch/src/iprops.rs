@@ -108,15 +108,6 @@ impl InstrPropsTable {
     pub fn iter(&self) -> impl Iterator<Item = &InstrProps> {
         self.props.values()
     }
-
-    /// Fraction of entries whose measured fields have been bootstrapped.
-    pub fn bootstrap_coverage(&self) -> f64 {
-        if self.props.is_empty() {
-            return 0.0;
-        }
-        let done = self.props.values().filter(|p| p.is_bootstrapped()).count();
-        done as f64 / self.props.len() as f64
-    }
 }
 
 /// [`OpcodeId`]-indexed view of an [`InstrPropsTable`]: a dense `Vec` lookup instead of
@@ -216,7 +207,6 @@ mod tests {
         let p = table.get("mulld").unwrap();
         assert!(p.is_bootstrapped());
         assert!((p.ipc_epi_product().unwrap() - 3.64).abs() < 1e-9);
-        assert!((table.bootstrap_coverage() - 1.0).abs() < 1e-12);
     }
 
     #[test]

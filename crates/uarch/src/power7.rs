@@ -88,11 +88,6 @@ impl MicroArchitecture {
             .map(|(_, n)| n.as_str())
             .unwrap_or_else(|| id.name())
     }
-
-    /// Cycles per millisecond at the nominal frequency (used by the power sensor model).
-    pub fn cycles_per_ms(&self) -> f64 {
-        self.frequency_ghz * 1e6
-    }
 }
 
 /// The POWER7-like machine description used throughout the reproduction, loaded from
@@ -154,7 +149,6 @@ mod tests {
     fn frequency_and_sampling_constants() {
         let m = power7();
         assert!((m.frequency_ghz - 3.0).abs() < 1e-12);
-        assert!((m.cycles_per_ms() - 3.0e6).abs() < 1e-3);
     }
 
     #[test]

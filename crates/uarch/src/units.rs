@@ -39,11 +39,6 @@ impl CorePipes {
             Unit::Ifu | Unit::Isu => 0,
         }
     }
-
-    /// Total number of execution pipes.
-    pub fn total_pipes(&self) -> u32 {
-        self.fxu + self.lsu + self.vsu + self.dfu + self.bru
-    }
 }
 
 /// One entry of the (coarse) chip floorplan: the relative die area of a component.
@@ -70,7 +65,6 @@ mod tests {
         assert_eq!(p.pipes(Unit::Lsu), 2);
         assert_eq!(p.pipes(Unit::Vsu), 2);
         assert_eq!(p.pipes(Unit::Ifu), 0);
-        assert_eq!(p.total_pipes(), 8);
         assert_eq!(p.dispatch_width, 6);
     }
 
