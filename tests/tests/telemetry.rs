@@ -345,8 +345,8 @@ fn executor_task_spans_count_exactly_the_parallel_items() {
     assert_eq!(counter_total(&inline, "executor.inline_jobs"), 32);
 
     // ...while a 2-worker batch records one span per item, the spawned worker's share
-    // included.  `executor.busy_s` in the end-to-end benchmark is
-    // the total of exactly these spans.
+    // included.  `executor.busy_s` in the end-to-end benchmark is the total of exactly
+    // these spans.
     mp_runtime::par_map_with_workers(2, &items, |&x| x + 1);
     let agg = mp_telemetry::snapshot();
     let tasks = agg.spans.get("executor.task").map_or(0, |span| span.durations.count);
