@@ -120,7 +120,7 @@ pub struct SpanStat {
 pub struct TraceEvent {
     /// Span name.
     pub name: &'static str,
-    /// Start, nanoseconds since the process [`epoch`].
+    /// Start, nanoseconds since the process epoch (the first span start).
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
@@ -152,15 +152,10 @@ fn registry() -> MutexGuard<'static, Aggregate> {
     GLOBAL.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The process epoch all trace timestamps are relative to (first telemetry use).
-pub fn epoch() -> Instant {
+/// Nanoseconds since the process epoch, the first time a span started.
+pub(crate) fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Nanoseconds since the process epoch.
-pub fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 thread_local! {
